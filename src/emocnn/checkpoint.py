@@ -49,6 +49,24 @@ class CheckpointConfigError(CheckpointError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _directory_entry(path, entry):
+    """(name, rank, dims, offset) of one tensor directory entry, type-checked."""
+    if not isinstance(entry, dict):
+        raise CheckpointShapeError(f"{path}: tensor directory entry is not an object: {entry!r}")
+    try:
+        name, rank, dims, offset = entry["name"], entry["rank"], entry["dims"], entry["offset"]
+    except KeyError as exc:
+        raise CheckpointShapeError(f"{path}: tensor directory entry lacks {exc}") from None
+    if not (isinstance(name, str) and _is_int(rank) and _is_int(offset)
+            and isinstance(dims, list) and all(_is_int(d) for d in dims)):
+        raise CheckpointShapeError(f"{path}: malformed tensor directory entry {entry!r}")
+    return name, rank, tuple(dims), offset
+
+
 def save_checkpoint(model: Model, path) -> None:
     """Write the model's parameters as float32, bit-exactly recoverable."""
     directory = []
@@ -99,7 +117,9 @@ def load_checkpoint(path, expect_variant: str | None = None) -> Model:
         directory = meta["tensors"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: unreadable metadata: {exc}") from None
-    if tuple(labels) != LABEL_NAMES:
+    if not isinstance(directory, list):
+        raise CheckpointShapeError(f"{path}: tensor directory is not a list")
+    if not isinstance(labels, list) or tuple(labels) != LABEL_NAMES:
         raise CheckpointConfigError(f"{path}: label order {labels} does not match {list(LABEL_NAMES)}")
     if expect_variant is not None and config.variant != expect_variant:
         raise CheckpointConfigError(
@@ -111,16 +131,14 @@ def load_checkpoint(path, expect_variant: str | None = None) -> Model:
     seen = set()
     data = raw[meta_end:]
     for entry in directory:
-        name = entry["name"]
+        name, rank, dims, start = _directory_entry(path, entry)
         if name not in params:
             raise CheckpointShapeError(f"{path}: unknown tensor {name!r}")
         param = params[name]
-        dims = tuple(int(d) for d in entry["dims"])
-        if dims != param.shape or int(entry["rank"]) != param.ndim:
+        if dims != param.shape or rank != param.ndim:
             raise CheckpointShapeError(
                 f"{path}: tensor {name!r} has dims {dims}, model expects {param.shape}"
             )
-        start = int(entry["offset"])
         nbytes = param.size * 4
         if start < 0 or start + nbytes > len(data):
             raise CheckpointTruncatedError(f"{path}: tensor {name!r} data out of bounds")

@@ -83,26 +83,20 @@ def affine_backward(dy: np.ndarray, x: np.ndarray, p: AffineParams):
 
 
 def _im2col(x: np.ndarray, fh: int, fw: int) -> np.ndarray:
-    """Unfold valid stride-1 patches of NHWC input into rows [B*oh*ow, fh*fw*C]."""
+    """Unfold valid stride-1 patches of NHWC input into rows [B*oh*ow, fh*fw*C].
+
+    In NHWC one patch row (fw pixels of C channels) is contiguous, so the
+    patches are a strided view [B, oh, ow, fh, fw*C] of a contiguous input
+    and the reshape is a single copy of fw*C-float blocks.
+    """
+    x = np.ascontiguousarray(x)
     batch, h, w, c = x.shape
     oh, ow = h - fh + 1, w - fw + 1
-    cols = np.empty((batch, oh, ow, fh, fw, c), dtype=x.dtype)
-    for i in range(fh):
-        for j in range(fw):
-            cols[:, :, :, i, j, :] = x[:, i : i + oh, j : j + ow, :]
-    return cols.reshape(batch * oh * ow, fh * fw * c)
-
-
-def _col2im(dcols: np.ndarray, x_shape, fh: int, fw: int) -> np.ndarray:
-    """Scatter-add patch-row gradients back onto the input grid."""
-    batch, h, w, c = x_shape
-    oh, ow = h - fh + 1, w - fw + 1
-    d6 = dcols.reshape(batch, oh, ow, fh, fw, c)
-    dx = np.zeros(x_shape, dtype=dcols.dtype)
-    for i in range(fh):
-        for j in range(fw):
-            dx[:, i : i + oh, j : j + ow, :] += d6[:, :, :, i, j, :]
-    return dx
+    sb, sh, sw, _ = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x, (batch, oh, ow, fh, fw * c), (sb, sh, sw, sh, x.itemsize), writeable=False
+    )
+    return patches.reshape(batch * oh * ow, fh * fw * c)
 
 
 def conv2d_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -122,16 +116,20 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
 def conv2d_backward(dy: np.ndarray, x: np.ndarray, p: ConvParams):
     k, fh, fw, _ = p.filters.shape
-    batch, h, w, _ = x.shape
-    expected = (batch, h - fh + 1, w - fw + 1, k)
-    if dy.shape != expected:
-        raise ValueError(f"conv gradient shape {dy.shape}, expected {expected}")
-    cols = _im2col(x, fh, fw)
+    batch, h, w, c = x.shape
+    oh, ow = h - fh + 1, w - fw + 1
+    if dy.shape != (batch, oh, ow, k):
+        raise ValueError(f"conv gradient shape {dy.shape}, expected {(batch, oh, ow, k)}")
     dy_mat = dy.reshape(-1, k)
     dbias = dy_mat.sum(axis=0)
-    dfilters = (dy_mat.T @ cols).reshape(p.filters.shape)
-    dcols = dy_mat @ p.filters.reshape(k, -1)
-    dx = _col2im(dcols, x.shape, fh, fw)
+    # One GEMM pair per filter tap (i, j), so no [B*oh*ow, fh*fw*C] patch matrix is built.
+    dfilters = np.empty(p.filters.shape, dtype=np.result_type(dy, x))
+    dx = np.zeros(x.shape, dtype=np.result_type(dy, p.filters))
+    for i in range(fh):
+        for j in range(fw):
+            x_tap = x[:, i : i + oh, j : j + ow, :].reshape(-1, c)
+            dfilters[:, i, j, :] = dy_mat.T @ x_tap
+            dx[:, i : i + oh, j : j + ow, :] += (dy_mat @ p.filters[:, i, j, :]).reshape(batch, oh, ow, c)
     return dx, dfilters, dbias
 
 
@@ -189,25 +187,42 @@ def maxpool_backward(dy: np.ndarray, x: np.ndarray, spec: PoolSpec) -> np.ndarra
     if dy.shape != (batch, oh, ow, c):
         raise ValueError(f"pool gradient shape {dy.shape}, expected {(batch, oh, ow, c)}")
     xp = _pad_neg_inf(x, top, left, bottom, right)
+    hp, wp = xp.shape[1:3]
 
-    # Recover each window's argmax; strict > keeps the first (row-major) winner.
-    best = np.full((batch, oh, ow, c), -np.inf, dtype=x.dtype)
-    best_k = np.zeros((batch, oh, ow, c), dtype=np.int64)
-    for k in range(win * win):
+    # Window maxima in two separable passes, rows then columns. fmax skips
+    # NaN, as the strict > of a running maximum does.
+    row_max = xp[:, :, 0 : stride * ow : stride, :].copy()
+    for j in range(1, win):
+        np.fmax(row_max, xp[:, :, j : j + stride * ow : stride, :], out=row_max)
+    best = row_max[:, 0 : stride * oh : stride].copy()
+    for i in range(1, win):
+        np.fmax(best, row_max[:, i : i + stride * oh : stride], out=best)
+
+    # First (row-major) winner: walk the offsets k = i*win + j downwards and
+    # move idx to k wherever the window equals its maximum, branch-free.
+    idx = np.zeros(best.shape, dtype=np.int8 if win * win <= 128 else np.int32)
+    eq = np.empty(best.shape, dtype=bool)
+    step = np.empty_like(idx)
+    for k in range(win * win - 1, -1, -1):
         i, j = divmod(k, win)
-        window = xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
-        better = window > best
-        best = np.where(better, window, best)
-        best_k = np.where(better, k, best_k)
+        np.equal(xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :], best, out=eq)
+        np.subtract(k, idx, out=step)
+        step *= eq.view(np.int8)
+        idx += step
 
-    rows = np.arange(oh).reshape(1, oh, 1, 1) * stride + best_k // win - top
-    cols = np.arange(ow).reshape(1, 1, ow, 1) * stride + best_k % win - left
-    bb = np.arange(batch).reshape(batch, 1, 1, 1)
-    cc = np.arange(c).reshape(1, 1, 1, c)
-    dx = np.zeros_like(x)
-    # Overlapping windows can route to the same cell, hence add.at.
-    np.add.at(dx, (bb, rows, cols, cc), dy)
-    return dx
+    # Scatter onto the padded grid, where every routed cell is in range: a
+    # window with no finite value can route to padding, which is cropped off.
+    # Overlapping windows can route to the same cell; bincount sums them.
+    i_win, j_win = np.divmod(np.arange(win * win), win)
+    target = ((i_win * wp + j_win) * c)[idx]
+    target += (
+        (np.arange(batch).reshape(batch, 1, 1, 1) * hp + np.arange(oh).reshape(1, oh, 1, 1) * stride) * wp
+        + np.arange(ow).reshape(1, 1, ow, 1) * stride
+    ) * c
+    target += np.arange(c)
+    dxp = np.bincount(target.ravel(), weights=dy.ravel(), minlength=batch * hp * wp * c)
+    dxp = dxp.reshape(batch, hp, wp, c)
+    return dxp[:, top : top + h, left : left + w, :].astype(x.dtype)
 
 
 def dropout_forward(x: np.ndarray, spec: DropoutSpec, mode: str, rng: Prng | None = None):

@@ -1,9 +1,13 @@
 """Shared test oracles and synthetic data generators."""
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 
 from emocnn import NetworkConfig, Prng, build_model, encode_dialogue
+from emocnn.checkpoint import MAGIC
 from emocnn.text import SEQUENCE_LENGTH
 
 
@@ -74,6 +78,52 @@ def conv2d_naive(x, filters, bias):
     return out
 
 
+def conv2d_backward_naive(dy, x, filters):
+    """Reference conv gradients (dx, dfilters, dbias): explicit loops."""
+    batch, oh, ow, k = dy.shape
+    _, fh, fw, c = filters.shape
+    dx = np.zeros(x.shape, dtype=np.float64)
+    dfilters = np.zeros(filters.shape, dtype=np.float64)
+    dbias = np.zeros(k, dtype=np.float64)
+    for b in range(batch):
+        for i in range(oh):
+            for j in range(ow):
+                for f in range(k):
+                    g = dy[b, i, j, f]
+                    dbias[f] += g
+                    for di in range(fh):
+                        for dj in range(fw):
+                            for ch in range(c):
+                                dx[b, i + di, j + dj, ch] += g * filters[f, di, dj, ch]
+                                dfilters[f, di, dj, ch] += g * x[b, i + di, j + dj, ch]
+    return dx, dfilters, dbias
+
+
+def maxpool_backward_naive(dy, x, window, stride, padding):
+    """Reference max-pool gradient: each window's upstream gradient goes to
+    its row-major first maximum; padding cells never win. Cells sum in
+    float64 in the row-major order of dy."""
+    batch, h, w, c = x.shape
+    _, oh, ow, _ = dy.shape
+    top = left = 0
+    if padding == "same":
+        top = max((oh - 1) * stride + window - h, 0) // 2
+        left = max((ow - 1) * stride + window - w, 0) // 2
+    dx = np.zeros(x.shape, dtype=np.float64)
+    for b in range(batch):
+        for i in range(oh):
+            for j in range(ow):
+                for ch in range(c):
+                    best = None
+                    for di in range(window):
+                        for dj in range(window):
+                            r, q = i * stride + di - top, j * stride + dj - left
+                            if 0 <= r < h and 0 <= q < w and (best is None or x[b, r, q, ch] > x[best + (ch,)]):
+                                best = (b, r, q)
+                    dx[best + (ch,)] += dy[b, i, j, ch]
+    return dx
+
+
 def tiny_config(**overrides) -> NetworkConfig:
     """Smallest full-pipeline config: 5 -> 6x6x2 -> conv3 -> pool -> 3 -> 4 -> 5."""
     base = dict(
@@ -139,3 +189,14 @@ def write_marker_tsv(path, n, seed, n_classes=5):
         for text, label in zip(texts, labels):
             fh.write(f"{LABEL_NAMES[label]}\t{text}\n")
     return path
+
+
+def rewrite_checkpoint_meta(path, edit):
+    """Apply edit(meta) to a saved checkpoint's JSON metadata, keeping its data."""
+    blob = path.read_bytes()
+    header = struct.Struct("<4sHI")
+    _, version, meta_len = header.unpack_from(blob)
+    meta = json.loads(blob[header.size : header.size + meta_len].decode())
+    edit(meta)
+    new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(header.pack(MAGIC, version, len(new_meta)) + new_meta + blob[header.size + meta_len :])

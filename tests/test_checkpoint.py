@@ -15,7 +15,7 @@ from emocnn.checkpoint import (
 from emocnn.network import build_model
 from emocnn.tensor import Prng
 
-from support import tiny_config
+from support import rewrite_checkpoint_meta, tiny_config
 
 
 def _small_model(seed=0):
@@ -92,20 +92,57 @@ def test_variant_mismatch(tmp_path):
 
 
 def test_shape_mismatch(tmp_path):
-    import json
-    import struct
-
     model = _small_model(6)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
-    blob = path.read_bytes()
-    header = struct.Struct("<4sHI")
-    _, version, meta_len = header.unpack_from(blob)
-    meta = json.loads(blob[header.size : header.size + meta_len].decode())
-    meta["tensors"][0]["dims"][0] += 1  # corrupt one tensor's shape
-    new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(header.pack(MAGIC, version, len(new_meta)) + new_meta + blob[header.size + meta_len :])
+
+    def corrupt_one_shape(meta):
+        meta["tensors"][0]["dims"][0] += 1
+
+    rewrite_checkpoint_meta(path, corrupt_one_shape)
     with pytest.raises(CheckpointShapeError):
+        load_checkpoint(path)
+
+
+MALFORMED_ENTRIES = {
+    "no-dims": lambda e: {k: v for k, v in e.items() if k != "dims"},
+    "no-name": lambda e: {k: v for k, v in e.items() if k != "name"},
+    "no-rank": lambda e: {k: v for k, v in e.items() if k != "rank"},
+    "no-offset": lambda e: {k: v for k, v in e.items() if k != "offset"},
+    "list-entry": lambda e: [e["name"], e["rank"], e["dims"], e["offset"]],
+    "string-entry": lambda e: e["name"],
+    "null-entry": lambda e: None,
+    "int-name": lambda e: {**e, "name": 7},
+    "string-dims": lambda e: {**e, "dims": ",".join(map(str, e["dims"]))},
+    "float-dim": lambda e: {**e, "dims": [float(d) for d in e["dims"]]},
+    "string-rank": lambda e: {**e, "rank": str(e["rank"])},
+    "bool-offset": lambda e: {**e, "offset": True},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
+def test_malformed_directory_entry_raises_checkpoint_error(tmp_path, case):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(8), path)
+
+    def edit(meta):
+        meta["tensors"][0] = MALFORMED_ENTRIES[case](meta["tensors"][0])
+
+    rewrite_checkpoint_meta(path, edit)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["tensors", "labels"])
+def test_non_list_metadata_field_raises_checkpoint_error(tmp_path, field):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(9), path)
+
+    def edit(meta):
+        meta[field] = 5
+
+    rewrite_checkpoint_meta(path, edit)
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 

@@ -1,10 +1,14 @@
 import warnings
 
+import numpy as np
 import pytest
 
+from emocnn.checkpoint import save_checkpoint
 from emocnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from emocnn.network import build_model
+from emocnn.tensor import Prng
 
-from support import write_marker_tsv
+from support import rewrite_checkpoint_meta, tiny_config, write_marker_tsv
 
 
 @pytest.fixture()
@@ -104,6 +108,22 @@ def test_corrupt_checkpoint_exits_2(tmp_path, data_tsv):
     blob = ckpt.read_bytes()
     ckpt.write_bytes(blob[: len(blob) // 2])
     assert main(["eval", "--data", data_tsv, "--ckpt", str(ckpt), "--report", str(tmp_path / "r.csv")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("entry", ["no-dims", "not-a-dict"])
+def test_malformed_checkpoint_directory_predict_exits_2(tmp_path, capsys, entry):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(tiny_config(), Prng(0), dtype=np.float32), ckpt)
+
+    def edit(meta):
+        if entry == "no-dims":
+            del meta["tensors"][0]["dims"]
+        else:
+            meta["tensors"][0] = 0
+
+    rewrite_checkpoint_meta(ckpt, edit)
+    assert main(["predict", "--ckpt", str(ckpt), "--text", "丁"]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
 
 
 def test_divergent_training_exits_3(tmp_path, data_tsv):

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emocnn.layers import (
     AffineParams,
@@ -21,7 +23,15 @@ from emocnn.layers import (
 )
 from emocnn.tensor import Prng
 
-from support import away_from_zero, conv2d_naive, distinct_values, numeric_gradient, rel_error
+from support import (
+    away_from_zero,
+    conv2d_backward_naive,
+    conv2d_naive,
+    distinct_values,
+    maxpool_backward_naive,
+    numeric_gradient,
+    rel_error,
+)
 
 
 # ---------------------------------------------------------------- affine
@@ -147,6 +157,27 @@ def test_conv_backward_matches_finite_differences():
     assert rel_error(db, numeric_gradient(objective, p.bias)) < 1e-5
 
 
+CONV_ORACLE_INPUTS = {
+    "transposed-view": lambda rng: (rng.random((2, 9, 6, 3)) - 0.5).transpose(0, 2, 1, 3),
+    "strided-slice": lambda rng: (rng.random((2, 12, 14, 4)) - 0.5)[:, ::2, 1::2, ::2],
+    "5x5": lambda rng: rng.random((2, 5, 5, 2)) - 0.5,
+    "one-channel": lambda rng: rng.random((1, 7, 6, 1)) - 0.5,
+}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("case", sorted(CONV_ORACLE_INPUTS))
+def test_conv_matches_loop_oracles_on_views_and_edge_shapes(case, k):
+    rng = np.random.default_rng(24)
+    x = CONV_ORACLE_INPUTS[case](rng)
+    p = _conv_params(rng, k, x.shape[3])
+    out = conv2d_forward(x, p)
+    assert rel_error(out, conv2d_naive(x, p.filters, p.bias)) < 1e-13
+    dy = rng.random(out.shape) - 0.5
+    for got, want in zip(conv2d_backward(dy, x, p), conv2d_backward_naive(dy, x, p.filters)):
+        assert rel_error(got, want) < 1e-13
+
+
 # ---------------------------------------------------------------- relu
 
 def test_relu_values():
@@ -235,6 +266,63 @@ def test_maxpool_backward_matches_finite_differences():
     dx = maxpool_backward(weight, x, spec)
     fd = numeric_gradient(lambda: float((maxpool_forward(x, spec) * weight).sum()), x)
     assert rel_error(dx, fd) < 1e-5
+
+
+POOL_SPECS = [
+    PoolSpec(5, 1, "same"),
+    PoolSpec(3, 2, "same"),
+    PoolSpec(2, 2, "none"),
+    PoolSpec(2, 1, "none"),
+]
+
+
+@st.composite
+def pool_cases(draw):
+    spec = draw(st.sampled_from(POOL_SPECS))
+    h = draw(st.sampled_from((3, 5, 7, 9)))
+    w = draw(st.sampled_from((3, 5, 7, 9)).filter(lambda v: v != h))
+    shape = (draw(st.integers(1, 2)), h, w, draw(st.integers(1, 3)))
+    # A few small integers, 0 among them, so windows tie often, as after ReLU.
+    x = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from((-1.0, 0.0, 1.0, 2.0))))
+    out_shape = maxpool_forward(x, spec).shape
+    dy = draw(hnp.arrays(np.float64, out_shape, elements=st.floats(-4.0, 4.0, width=64)))
+    return spec, x, dy
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool_cases())
+def test_maxpool_backward_matches_loop_under_ties(case):
+    spec, x, dy = case
+    expected = maxpool_backward_naive(dy, x, spec.window, spec.stride, spec.padding)
+    npt.assert_array_equal(maxpool_backward(dy, x, spec), expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pool_cases())
+def test_maxpool_backward_float32_sums_in_float64_and_rounds_once(case):
+    spec, x, dy = case
+    x, dy = x.astype(np.float32), dy.astype(np.float32)
+    expected = maxpool_backward_naive(dy, x, spec.window, spec.stride, spec.padding).astype(np.float32)
+    dx = maxpool_backward(dy, x, spec)
+    assert dx.dtype == np.float32
+    npt.assert_array_equal(dx, expected)
+
+
+def test_maxpool_backward_window_wider_than_11_matches_loop():
+    # 144 offsets do not fit the int8 window index used for narrower windows
+    spec = PoolSpec(12, 5, "same")
+    rng = np.random.default_rng(25)
+    x = rng.integers(0, 3, size=(1, 13, 14, 2)).astype(np.float64)
+    dy = rng.random(maxpool_forward(x, spec).shape)
+    npt.assert_array_equal(maxpool_backward(dy, x, spec), maxpool_backward_naive(dy, x, 12, 5, "same"))
+
+
+@pytest.mark.parametrize("spec", POOL_SPECS)
+def test_maxpool_backward_all_nan_windows_do_not_raise(spec):
+    x = np.full((1, 5, 7, 2), np.nan)
+    dy = np.ones(maxpool_forward(x, spec).shape)
+    dx = maxpool_backward(dy, x, spec)
+    assert dx.shape == x.shape and np.isfinite(dx).all()
 
 
 # ---------------------------------------------------------------- dropout
