@@ -1,7 +1,7 @@
 """Character-level CNN for 5-way emotion classification of short dialogues."""
 
 from .labels import EmotionLabel, LABEL_NAMES, N_CLASSES
-from .tensor import Prng, gaussian_init, matmul, reshape
+from .tensor import Prng, gaussian_init
 from .text import (
     ALPHABET_RANGES,
     ALPHABET_SIZE,

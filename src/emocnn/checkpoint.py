@@ -21,7 +21,7 @@ import struct
 import numpy as np
 
 from .labels import LABEL_NAMES
-from .network import Model, allocate_model, config_from_dict, config_to_dict
+from .network import Model, NetworkConfig, allocate_model, config_from_dict, config_to_dict
 
 MAGIC = b"EMON"
 VERSION = 1
@@ -51,6 +51,29 @@ class CheckpointConfigError(CheckpointError):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_like(value, example) -> bool:
+    """Whether ``value`` has the JSON type of ``example``, where a list's
+    items take the type of its first item and a float also takes an int."""
+    if isinstance(example, list):
+        return isinstance(value, list) and all(_json_like(v, example[0]) for v in value)
+    if isinstance(example, float):
+        return _is_int(value) or isinstance(value, float)
+    return _is_int(value) if isinstance(example, int) else isinstance(value, type(example))
+
+
+def _network_config(path, fields) -> NetworkConfig:
+    """The metadata's network config. Each field must have the JSON type
+    that config_to_dict writes, and allocate_model must accept the config."""
+    example = config_to_dict(NetworkConfig.for_variant("B"))
+    try:
+        for name, value in fields.items():
+            if name in example and not (_json_like(value, example[name]) or name == "variant" and value is None):
+                raise ValueError(f"field {name!r} has a bad value {value!r}")
+        return config_from_dict(fields)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointConfigError(f"{path}: bad network config: {exc}") from None
 
 
 def _directory_entry(path, entry):
@@ -112,11 +135,10 @@ def load_checkpoint(path, expect_variant: str | None = None) -> Model:
         raise CheckpointTruncatedError(f"{path}: metadata truncated")
     try:
         meta = json.loads(raw[_HEADER.size : meta_end].decode("utf-8"))
-        config = config_from_dict(meta["config"])
-        labels = meta["labels"]
-        directory = meta["tensors"]
+        config, labels, directory = meta["config"], meta["labels"], meta["tensors"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: unreadable metadata: {exc}") from None
+    config = _network_config(path, config)
     if not isinstance(directory, list):
         raise CheckpointShapeError(f"{path}: tensor directory is not a list")
     if not isinstance(labels, list) or tuple(labels) != LABEL_NAMES:
@@ -134,6 +156,8 @@ def load_checkpoint(path, expect_variant: str | None = None) -> Model:
         name, rank, dims, start = _directory_entry(path, entry)
         if name not in params:
             raise CheckpointShapeError(f"{path}: unknown tensor {name!r}")
+        if name in seen:
+            raise CheckpointShapeError(f"{path}: tensor {name!r} listed twice")
         param = params[name]
         if dims != param.shape or rank != param.ndim:
             raise CheckpointShapeError(

@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="classify one dialogue string")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--text", required=True)
+    p.add_argument("--text", required=True, help="the dialogue; write --text=<t> if it starts with '-'")
     p.add_argument("--stopwords")
     p.set_defaults(func=cmd_predict)
 

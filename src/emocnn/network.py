@@ -9,10 +9,13 @@ layers with dropout produce the 5 class logits.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from functools import partial
+from operator import methodcaller
 from typing import Optional
 
 import numpy as np
 
+from . import layers
 from .labels import EmotionLabel, N_CLASSES
 from .layers import (
     AffineParams,
@@ -31,8 +34,9 @@ from .layers import (
     relu_backward,
     softmax,
     softmax_cross_entropy,
+    _pool_geometry,
 )
-from .tensor import DEFAULT_DTYPE, Prng, gaussian_init, reshape
+from .tensor import DEFAULT_DTYPE, Prng, gaussian_init
 from .text import SEQUENCE_LENGTH
 
 # Conv channel widths per group; each group is followed by one max pool.
@@ -44,7 +48,6 @@ CONV_GROUPS = {
 }
 VARIANTS = tuple(CONV_GROUPS)
 
-FILTER_SIZE = 5
 POOL_SAME = PoolSpec(window=5, stride=1, padding="same")
 POOL_REDUCE = PoolSpec(window=2, stride=2, padding="none")
 FLATTEN_WIDTH = 9216  # 6 * 6 * 256, the FC head's input width
@@ -59,14 +62,14 @@ def compute_augmentation_size(s_output: int, n_layers: int, s_filter: int, strid
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture description. ``for_variant`` builds the canonical A-D
-    shapes; direct construction permits small custom stacks for testing."""
+    shapes; direct construction permits small custom stacks for testing.
+    Every conv filter is 5x5 (``layers.FILTER_SIZE``)."""
 
     variant: Optional[str]
     conv_groups: tuple[tuple[int, ...], ...]
     input_len: int = SEQUENCE_LENGTH
     aug_side: int = 32
     aug_channels: int = 3
-    filter_size: int = FILTER_SIZE
     fc_sizes: tuple[int, ...] = (1024, 1024, N_CLASSES)
     dropout_keep_input: float = 1.0
     dropout_keep_hidden: float = 0.3
@@ -93,34 +96,36 @@ class NetworkConfig:
     def n_weighted_layers(self) -> int:
         return 1 + len(self.channel_plan) + len(self.fc_sizes)
 
+    def layer_plan(self) -> list[tuple[str, object]]:
+        """The layers after the augmentation grid, in forward order:
+        ("conv", channels) for a conv with its ReLU, ("pool", PoolSpec) after
+        each conv group, and ("fc", units) for the head. Every fc but the
+        last is followed by ReLU and dropout."""
+        plan = []
+        for gi, group in enumerate(self.conv_groups):
+            plan += [("conv", channels) for channels in group]
+            plan.append(("pool", POOL_REDUCE if gi == len(self.conv_groups) - 1 else POOL_SAME))
+        return plan + [("fc", units) for units in self.fc_sizes]
+
     def spatial_trace(self) -> list[int]:
         """Spatial side after the augmentation reshape and after every
         conv and pool, in order. Raises if any layer underflows."""
         trace = [self.aug_side]
-        side = self.aug_side
-        for gi, group in enumerate(self.conv_groups):
-            for ci in range(len(group)):
-                if side < self.filter_size:
+        for kind, arg in self.layer_plan():
+            side = trace[-1]
+            if kind == "conv":
+                if side < layers.FILTER_SIZE:
                     raise ValueError(
-                        f"conv {gi + 1}.{ci + 1}: input side {side} smaller than "
-                        f"{self.filter_size}x{self.filter_size} filter"
+                        f"layer {len(trace)}: conv input side {side} smaller than "
+                        f"{layers.FILTER_SIZE}x{layers.FILTER_SIZE} filter"
                     )
-                side -= self.filter_size - 1
-                trace.append(side)
-            pool = POOL_REDUCE if gi == len(self.conv_groups) - 1 else POOL_SAME
-            if pool.padding == "none":
-                if side < pool.window:
-                    raise ValueError(f"pool after group {gi + 1}: window {pool.window} larger than side {side}")
-                side = (side - pool.window) // pool.stride + 1
-            trace.append(side)
+                trace.append(side - layers.FILTER_SIZE + 1)
+            elif kind == "pool":
+                trace.append(_pool_geometry(side, side, arg)[0])
         return trace
 
     def flatten_width(self) -> int:
         return self.spatial_trace()[-1] ** 2 * self.channel_plan[-1]
-
-
-def _pool_for_group(config: NetworkConfig, group_index: int) -> PoolSpec:
-    return POOL_REDUCE if group_index == len(config.conv_groups) - 1 else POOL_SAME
 
 
 @dataclass
@@ -132,22 +137,26 @@ class Model:
     convs: list[ConvParams]
     fcs: list[AffineParams]
 
-    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        named = [("augmentation.W", self.augmentation.W), ("augmentation.b", self.augmentation.b)]
+    def _tensors(self) -> list[tuple[str, np.ndarray, bool]]:
+        """(name, array, is_weight) per parameter, in forward order with each
+        layer's weights or filters before its bias. Weights are Gaussian
+        initialized and L2 penalized; biases start at zero and are not."""
+        tensors = [("augmentation.W", self.augmentation.W, True), ("augmentation.b", self.augmentation.b, False)]
         for i, c in enumerate(self.convs, start=1):
-            named.append((f"conv{i}.filters", c.filters))
-            named.append((f"conv{i}.bias", c.bias))
+            tensors += [(f"conv{i}.filters", c.filters, True), (f"conv{i}.bias", c.bias, False)]
         for i, fc in enumerate(self.fcs, start=1):
-            named.append((f"fc{i}.W", fc.W))
-            named.append((f"fc{i}.b", fc.b))
-        return named
+            tensors += [(f"fc{i}.W", fc.W, True), (f"fc{i}.b", fc.b, False)]
+        return tensors
+
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
+        return [(name, param) for name, param, _ in self._tensors()]
 
     def parameters(self) -> dict[str, np.ndarray]:
         return dict(self.named_parameters())
 
     def weight_names(self) -> list[str]:
         """Names of the L2-regularized tensors (weights/filters, not biases)."""
-        return [name for name, _ in self.named_parameters() if not name.endswith(".b") and not name.endswith(".bias")]
+        return [name for name, _, is_weight in self._tensors() if is_weight]
 
     @property
     def dtype(self):
@@ -159,7 +168,14 @@ class Model:
 
 
 def _validate_config(config: NetworkConfig) -> None:
-    trace = config.spatial_trace()  # raises on dimension underflow
+    sizes = (config.input_len, config.aug_side, config.aug_channels, *config.channel_plan, *config.fc_sizes)
+    if not (config.channel_plan and config.fc_sizes) or min(sizes) < 1:
+        raise ValueError(f"layer sizes must be positive, with at least one conv and one fc layer: {sizes}")
+    if config.fc_sizes[-1] != N_CLASSES:
+        raise ValueError(f"the last fc layer has {config.fc_sizes[-1]} units, expected {N_CLASSES}")
+    DropoutSpec(config.dropout_keep_input)  # raises unless keep is in (0, 1]
+    DropoutSpec(config.dropout_keep_hidden)
+    config.spatial_trace()  # raises on dimension underflow
     if config.variant is not None:
         if len(config.channel_plan) != 5:
             raise ValueError(f"variant {config.variant} must have 5 conv layers, got {len(config.channel_plan)}")
@@ -168,8 +184,6 @@ def _validate_config(config: NetworkConfig) -> None:
                 f"variant {config.variant}: conv output flattens to {config.flatten_width()}, "
                 f"expected {FLATTEN_WIDTH}"
             )
-    if trace[-1] < 1:
-        raise ValueError("network reduces spatial size below 1")
 
 
 def allocate_model(config: NetworkConfig, dtype=DEFAULT_DTYPE) -> Model:
@@ -179,19 +193,18 @@ def allocate_model(config: NetworkConfig, dtype=DEFAULT_DTYPE) -> Model:
         W=np.zeros((config.augmentation_out, config.input_len), dtype=dtype),
         b=np.zeros(config.augmentation_out, dtype=dtype),
     )
-    convs = []
-    in_ch = config.aug_channels
-    for ch in config.channel_plan:
-        convs.append(ConvParams(
-            filters=np.zeros((ch, config.filter_size, config.filter_size, in_ch), dtype=dtype),
-            bias=np.zeros(ch, dtype=dtype),
-        ))
-        in_ch = ch
-    fcs = []
-    in_dim = config.flatten_width()
-    for out_dim in config.fc_sizes:
-        fcs.append(AffineParams(W=np.zeros((out_dim, in_dim), dtype=dtype), b=np.zeros(out_dim, dtype=dtype)))
-        in_dim = out_dim
+    convs, fcs = [], []
+    in_ch, in_dim = config.aug_channels, config.flatten_width()
+    for kind, width in config.layer_plan():
+        if kind == "conv":
+            convs.append(ConvParams(
+                filters=np.zeros((width, layers.FILTER_SIZE, layers.FILTER_SIZE, in_ch), dtype=dtype),
+                bias=np.zeros(width, dtype=dtype),
+            ))
+            in_ch = width
+        elif kind == "fc":
+            fcs.append(AffineParams(W=np.zeros((width, in_dim), dtype=dtype), b=np.zeros(width, dtype=dtype)))
+            in_dim = width
     return Model(config=config, augmentation=aug, convs=convs, fcs=fcs)
 
 
@@ -199,102 +212,68 @@ def build_model(config: NetworkConfig, rng: Prng, dtype=DEFAULT_DTYPE) -> Model:
     """Gaussian-initialized model (weights N(mean, std), biases zero)."""
     model = allocate_model(config, dtype=dtype)
     mean, std = config.init_mean, config.init_std
-    for name, param in model.named_parameters():
-        if name.endswith(".b") or name.endswith(".bias"):
-            continue
-        param[...] = gaussian_init(param.shape, mean, std, rng, dtype=dtype)
+    params = model.parameters()
+    for name in model.weight_names():
+        params[name][...] = gaussian_init(params[name].shape, mean, std, rng, dtype=dtype)
     return model
 
 
 def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None):
+    """Logits, and a tape of one backward step per layer in forward order.
+
+    A step is (backward, names). ``backward`` maps the gradient at the
+    layer's output to the gradient at its input; for a weighted layer it
+    also returns the gradients of its weights and bias, called ``names``.
+    """
     cfg = model.config
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != cfg.input_len:
         raise ValueError(f"batch must be [B, {cfg.input_len}], got {batch.shape}")
-    n = batch.shape[0]
-    cache: dict = {"mode": mode}
-
-    drop_in = DropoutSpec(cfg.dropout_keep_input)
-    x, cache["mask_in"] = dropout_forward(batch, drop_in, mode, rng)
-    cache["aug_in"] = x
-    grid = reshape(affine_forward(x, model.augmentation), (n, cfg.aug_side, cfg.aug_side, cfg.aug_channels))
-
-    h = grid
-    conv_inputs, conv_pre, pool_inputs = [], [], []
-    ci = 0
-    for gi, group in enumerate(cfg.conv_groups):
-        for _ in group:
-            conv_inputs.append(h)
-            z = conv2d_forward(h, model.convs[ci])
-            conv_pre.append(z)
-            h = relu(z)
-            ci += 1
-        pool_inputs.append(h)
-        h = maxpool_forward(h, _pool_for_group(cfg, gi))
-    cache["conv_inputs"] = conv_inputs
-    cache["conv_pre"] = conv_pre
-    cache["pool_inputs"] = pool_inputs
-    cache["conv_out_shape"] = h.shape
-
-    h = h.reshape(n, -1)
+    tape = []
+    names = iter([name for name, _ in model.named_parameters()])
+    convs, fcs = iter(model.convs), iter(model.fcs)
     drop_hidden = DropoutSpec(cfg.dropout_keep_hidden)
-    fc_inputs, fc_pre, fc_masks = [], [], []
-    for li, fc in enumerate(model.fcs):
-        fc_inputs.append(h)
-        z = affine_forward(h, fc)
-        if li < len(model.fcs) - 1:
-            fc_pre.append(z)
-            a = relu(z)
-            h, mask = dropout_forward(a, drop_hidden, mode, rng)
-            fc_masks.append(mask)
+    # Forward dropout is the identity in test mode and at keep 1, so then
+    # it records no backward step.
+    hidden_dropout = mode == "train" and cfg.dropout_keep_hidden < 1.0
+
+    def weighted(layer_forward, layer_backward, x, p):
+        tape.append((partial(layer_backward, x=x, p=p), (next(names), next(names))))
+        return layer_forward(x, p)
+
+    def reshape(x, shape):
+        tape.append((methodcaller("reshape", x.shape), ()))
+        return x.reshape(shape)
+
+    # No gradient flows to the input, so input dropout records no step.
+    h, _ = dropout_forward(batch, DropoutSpec(cfg.dropout_keep_input), mode, rng)
+    h = weighted(affine_forward, affine_backward, h, model.augmentation)
+    h = reshape(h, (len(h), cfg.aug_side, cfg.aug_side, cfg.aug_channels))
+    plan = cfg.layer_plan()
+    for i, (kind, arg) in enumerate(plan):
+        if kind == "conv":
+            z = weighted(conv2d_forward, conv2d_backward, h, next(convs))
+            tape.append((partial(relu_backward, x=z), ()))
+            h = relu(z)
+        elif kind == "pool":
+            tape.append((partial(maxpool_backward, x=h, spec=arg), ()))
+            h = maxpool_forward(h, arg)
         else:
-            h = z
-    cache["fc_inputs"] = fc_inputs
-    cache["fc_pre"] = fc_pre
-    cache["fc_masks"] = fc_masks
-    return h, cache
+            if h.ndim == 4:  # NHWC, flattened row-major for the first fc
+                h = reshape(h, (len(h), -1))
+            h = weighted(affine_forward, affine_backward, h, next(fcs))
+            if i < len(plan) - 1:
+                tape.append((partial(relu_backward, x=h), ()))
+                h, mask = dropout_forward(relu(h), drop_hidden, mode, rng)
+                if hidden_dropout:
+                    tape.append((partial(dropout_backward, mask=mask, spec=drop_hidden), ()))
+    return h, tape
 
 
 def forward(model: Model, batch: np.ndarray, mode: str = "test", rng: Prng | None = None) -> np.ndarray:
     """Logits [B, 5] for a batch of inputs already scaled to [0, 1]."""
     logits, _ = _run_forward(model, batch, mode, rng)
     return logits
-
-
-def _run_backward(model: Model, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    cfg = model.config
-    grads: dict[str, np.ndarray] = {}
-    drop_hidden = DropoutSpec(cfg.dropout_keep_hidden)
-    # Forward-time dropout is the identity in test mode (and for keep=1);
-    # the backward pass must mirror that branch exactly.
-    dropout_active = cache["mode"] == "train" and cfg.dropout_keep_hidden < 1.0
-
-    g = dlogits
-    for li in range(len(model.fcs) - 1, -1, -1):
-        if li < len(model.fcs) - 1:
-            if dropout_active:
-                g = dropout_backward(g, cache["fc_masks"][li], drop_hidden)
-            g = relu_backward(g, cache["fc_pre"][li])
-        g, dw, db = affine_backward(g, cache["fc_inputs"][li], model.fcs[li])
-        grads[f"fc{li + 1}.W"] = dw
-        grads[f"fc{li + 1}.b"] = db
-
-    g = g.reshape(cache["conv_out_shape"])
-    ci = len(model.convs)
-    for gi in range(len(cfg.conv_groups) - 1, -1, -1):
-        g = maxpool_backward(g, cache["pool_inputs"][gi], _pool_for_group(cfg, gi))
-        for _ in reversed(cfg.conv_groups[gi]):
-            ci -= 1
-            g = relu_backward(g, cache["conv_pre"][ci])
-            g, df, db = conv2d_backward(g, cache["conv_inputs"][ci], model.convs[ci])
-            grads[f"conv{ci + 1}.filters"] = df
-            grads[f"conv{ci + 1}.bias"] = db
-
-    g = g.reshape(g.shape[0], -1)
-    _, dw, db = affine_backward(g, cache["aug_in"], model.augmentation)
-    grads["augmentation.W"] = dw
-    grads["augmentation.b"] = db
-    return grads
 
 
 def loss_and_grads(
@@ -309,9 +288,15 @@ def loss_and_grads(
     parameter. The L2 term is l2 * sum(W^2) over weights and filters only;
     its gradient contribution is 2 * l2 * W."""
     l2 = model.config.l2_strength if l2_strength is None else l2_strength
-    logits, cache = _run_forward(model, batch, mode, rng)
-    loss, _, dlogits = softmax_cross_entropy(logits, np.asarray(labels))
-    grads = _run_backward(model, cache, dlogits)
+    logits, tape = _run_forward(model, batch, mode, rng)
+    loss, _, g = softmax_cross_entropy(logits, np.asarray(labels))
+    grads: dict[str, np.ndarray] = {}
+    for backward, names in reversed(tape):
+        if names:
+            g, *param_grads = backward(g)
+            grads.update(zip(names, param_grads))
+        else:
+            g = backward(g)
     if l2 != 0.0:
         params = model.parameters()
         for name in model.weight_names():
@@ -321,20 +306,24 @@ def loss_and_grads(
     return loss, grads
 
 
+def scale_codes(codes, dtype) -> np.ndarray:
+    """Byte codes as network inputs in [0, 1]: divided by 255 in float64,
+    then cast to ``dtype``."""
+    return (np.asarray(codes, dtype=np.float64) / 255.0).astype(dtype)
+
+
 def predict(model: Model, seq) -> tuple[EmotionLabel, np.ndarray]:
     """Classify one 144-byte sequence. Ties resolve to the lowest index."""
-    codes = np.asarray(seq, dtype=np.float64)
-    if codes.shape != (model.config.input_len,):
-        raise ValueError(f"sequence must have shape ({model.config.input_len},), got {codes.shape}")
-    x = (codes / 255.0).astype(model.dtype).reshape(1, -1)
-    probs = softmax(forward(model, x, mode="test"))[0]
+    x = scale_codes(seq, model.dtype)
+    if x.shape != (model.config.input_len,):
+        raise ValueError(f"sequence must have shape ({model.config.input_len},), got {x.shape}")
+    probs = softmax(forward(model, x.reshape(1, -1), mode="test"))[0]
     return EmotionLabel(int(np.argmax(probs))), probs
 
 
 def predict_batch(model: Model, codes: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Predicted class indices for raw byte codes [N, 144], in chunks."""
-    codes = np.asarray(codes)
-    x = (codes.astype(np.float64) / 255.0).astype(model.dtype)
+    x = scale_codes(codes, model.dtype)
     out = np.empty(len(x), dtype=np.int64)
     for start in range(0, len(x), batch_size):
         logits = forward(model, x[start : start + batch_size], mode="test")
@@ -350,7 +339,14 @@ def config_to_dict(config: NetworkConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> NetworkConfig:
+    """Config from its JSON form. Raises ValueError unless allocate_model
+    accepts it."""
     d = dict(d)
+    # Checkpoints from when the filter size was a config field record it.
+    if d.pop("filter_size", layers.FILTER_SIZE) != layers.FILTER_SIZE:
+        raise ValueError(f"conv filters are fixed at {layers.FILTER_SIZE}x{layers.FILTER_SIZE}")
     d["conv_groups"] = tuple(tuple(int(c) for c in g) for g in d["conv_groups"])
     d["fc_sizes"] = tuple(int(s) for s in d["fc_sizes"])
-    return NetworkConfig(**d)
+    config = NetworkConfig(**d)
+    _validate_config(config)
+    return config

@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
-GRAD_CHECK_DTYPE = np.float64
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -78,27 +77,6 @@ class Prng:
         """Boolean array, element True with probability ``keep_probability``."""
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         return (self.uniform(size) < keep_probability).reshape(shape)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-major matrix product of a [M,K] and b [K,N]."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def reshape(t: np.ndarray, new_shape) -> np.ndarray:
-    """Reinterpret the flat row-major data of ``t`` under a new shape."""
-    t = np.asarray(t)
-    new_shape = tuple(int(d) for d in new_shape)
-    count = int(np.prod(new_shape, dtype=np.int64)) if new_shape else 1
-    if count != t.size:
-        raise ValueError(
-            f"cannot reshape {t.shape} ({t.size} elements) into {new_shape} ({count} elements)"
-        )
-    return t.reshape(new_shape)
 
 
 def gaussian_init(shape, mean: float, std: float, rng: Prng, dtype=DEFAULT_DTYPE) -> np.ndarray:

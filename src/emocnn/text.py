@@ -134,18 +134,11 @@ def remap(ordinal: int) -> int:
     return ordinal % BYTE_RANGE
 
 
-def encode_dialogue(
-    text: str,
-    stops: Sequence[str] = (),
-    *,
-    remap_code_points: bool = False,
-) -> np.ndarray:
+def encode_dialogue(text: str, stops: Sequence[str] = ()) -> np.ndarray:
     """Encode a dialogue as exactly 144 byte codes (uint8).
 
     Characters outside the alphabet are dropped; the first 144 surviving
-    codes are kept and the tail is zero-padded. ``remap_code_points``
-    switches the mod-256 re-sampling basis from the alphabet ordinal to the
-    raw Unicode code point.
+    codes are kept and the tail is zero-padded.
     """
     text = normalize_width(text)
     text = remove_stop_words(text, stops)
@@ -154,7 +147,7 @@ def encode_dialogue(
         ordinal = alphabet_ordinal(ch)
         if ordinal is None:
             continue
-        codes.append(ord(ch) % BYTE_RANGE if remap_code_points else remap(ordinal))
+        codes.append(remap(ordinal))
         if len(codes) == SEQUENCE_LENGTH:
             break
     out = np.zeros(SEQUENCE_LENGTH, dtype=np.uint8)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import Model, loss_and_grads, predict_batch
+from .network import Model, loss_and_grads, predict_batch, scale_codes
 from .tensor import Prng
 from .text import split_dataset
 
@@ -151,7 +151,7 @@ def train(model: Model, dataset, config: TrainConfig):
         raise ValueError("every class present in the dataset needs at least 2 examples")
 
     train_idx, eval_idx = split_encoded(codes, labels, config.eval_fraction, config.seed)
-    x = (codes.astype(np.float64) / 255.0).astype(model.dtype)
+    x = scale_codes(codes, model.dtype)
     y = labels
 
     params = model.parameters()

@@ -8,6 +8,16 @@ import numpy as np
 
 from emocnn import NetworkConfig, Prng, build_model, encode_dialogue
 from emocnn.checkpoint import MAGIC
+from emocnn.layers import (
+    DropoutSpec,
+    PoolSpec,
+    affine_forward,
+    conv2d_forward,
+    dropout_forward,
+    maxpool_forward,
+    relu,
+    softmax_cross_entropy,
+)
 from emocnn.text import SEQUENCE_LENGTH
 
 
@@ -124,6 +134,35 @@ def maxpool_backward_naive(dy, x, window, stride, padding):
     return dx
 
 
+def composed_forward(model, x, mode="test", rng=None):
+    """Reference logits: the public layer functions composed by hand in the
+    model's order, apart from the network module's layer plan."""
+    cfg = model.config
+    n = len(x)
+    h, _ = dropout_forward(x, DropoutSpec(cfg.dropout_keep_input), mode, rng)
+    # Augmentation affine, read row-major as a (side, side, channels) grid.
+    h = np.reshape(affine_forward(h, model.augmentation), (n, cfg.aug_side, cfg.aug_side, cfg.aug_channels), order="C")
+    convs = iter(model.convs)
+    for gi, group in enumerate(cfg.conv_groups):
+        for _ in group:
+            h = relu(conv2d_forward(h, next(convs)))
+        last_group = gi == len(cfg.conv_groups) - 1
+        h = maxpool_forward(h, PoolSpec(2, 2, "none") if last_group else PoolSpec(5, 1, "same"))
+    h = np.reshape(h, (n, -1), order="C")  # NHWC: channel fastest, then column, then row
+    for fc in model.fcs[:-1]:
+        h, _ = dropout_forward(relu(affine_forward(h, fc)), DropoutSpec(cfg.dropout_keep_hidden), mode, rng)
+    return affine_forward(h, model.fcs[-1])
+
+
+def composed_loss(model, x, labels, mode="test", rng=None):
+    """Reference loss: mean cross-entropy of ``composed_forward`` plus the
+    config's L2 strength times the squared norm of each weight tensor."""
+    loss = softmax_cross_entropy(composed_forward(model, x, mode, rng), labels)[0]
+    for w in (model.augmentation.W, *(c.filters for c in model.convs), *(fc.W for fc in model.fcs)):
+        loss += model.config.l2_strength * float(np.vdot(w, w))
+    return loss
+
+
 def tiny_config(**overrides) -> NetworkConfig:
     """Smallest full-pipeline config: 5 -> 6x6x2 -> conv3 -> pool -> 3 -> 4 -> 5."""
     base = dict(
@@ -200,3 +239,13 @@ def rewrite_checkpoint_meta(path, edit):
     edit(meta)
     new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(header.pack(MAGIC, version, len(new_meta)) + new_meta + blob[header.size + meta_len :])
+
+
+# Edits of a saved tiny-config checkpoint's metadata that must not load.
+CHECKPOINT_META_FAULTS = {
+    "negative-fc-size": lambda meta: meta["config"].update(fc_sizes=[4, -5]),
+    "filter-size-3": lambda meta: meta["config"].update(filter_size=3),
+    "string-dropout-keep": lambda meta: meta["config"].update(dropout_keep_hidden="abc"),
+    "string-aug-side": lambda meta: meta["config"].update(aug_side="6"),
+    "duplicate-tensor": lambda meta: meta["tensors"].append(meta["tensors"][0]),
+}

@@ -15,7 +15,7 @@ from emocnn.checkpoint import (
 from emocnn.network import build_model
 from emocnn.tensor import Prng
 
-from support import rewrite_checkpoint_meta, tiny_config
+from support import CHECKPOINT_META_FAULTS, rewrite_checkpoint_meta, tiny_config
 
 
 def _small_model(seed=0):
@@ -144,6 +144,23 @@ def test_non_list_metadata_field_raises_checkpoint_error(tmp_path, field):
     rewrite_checkpoint_meta(path, edit)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_META_FAULTS))
+def test_bad_metadata_raises_config_or_shape_error(tmp_path, case):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(10), path)
+    rewrite_checkpoint_meta(path, CHECKPOINT_META_FAULTS[case])
+    with pytest.raises((CheckpointConfigError, CheckpointShapeError)):
+        load_checkpoint(path)
+
+
+def test_recorded_filter_size_5_still_loads(tmp_path):
+    model = _small_model(11)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    rewrite_checkpoint_meta(path, lambda meta: meta["config"].update(filter_size=5))
+    assert load_checkpoint(path).config == model.config
 
 
 def test_float64_model_saves_as_float32(tmp_path):

@@ -8,7 +8,7 @@ from emocnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from emocnn.network import build_model
 from emocnn.tensor import Prng
 
-from support import rewrite_checkpoint_meta, tiny_config, write_marker_tsv
+from support import CHECKPOINT_META_FAULTS, rewrite_checkpoint_meta, tiny_config, write_marker_tsv
 
 
 @pytest.fixture()
@@ -122,6 +122,16 @@ def test_malformed_checkpoint_directory_predict_exits_2(tmp_path, capsys, entry)
             meta["tensors"][0] = 0
 
     rewrite_checkpoint_meta(ckpt, edit)
+    assert main(["predict", "--ckpt", str(ckpt), "--text", "丁"]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_META_FAULTS))
+def test_bad_checkpoint_metadata_predict_exits_2(tmp_path, capsys, case):
+    ckpt = tmp_path / "model.ckpt"
+    # A full-length input, so that a checkpoint which loads also predicts.
+    save_checkpoint(build_model(tiny_config(input_len=144), Prng(0), dtype=np.float32), ckpt)
+    rewrite_checkpoint_meta(ckpt, CHECKPOINT_META_FAULTS[case])
     assert main(["predict", "--ckpt", str(ckpt), "--text", "丁"]) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
 

@@ -17,7 +17,14 @@ from emocnn.network import (
 )
 from emocnn.tensor import Prng
 
-from support import numeric_gradient, randomized_tiny_model, rel_error, tiny_config
+from support import (
+    composed_forward,
+    composed_loss,
+    numeric_gradient,
+    randomized_tiny_model,
+    rel_error,
+    tiny_config,
+)
 
 
 def test_augmentation_size_five_layers():
@@ -177,6 +184,27 @@ def test_end_to_end_gradient_matches_finite_differences():
     for name, p in model.named_parameters():
         fd = numeric_gradient(lambda: loss_and_grads(model, x, y, mode="test")[0], p)
         assert rel_error(grads[name], fd) < 1e-4, name
+
+
+def test_two_group_train_mode_matches_hand_composition():
+    # Two groups run both pool kinds; dropout below 1 draws from the Prng.
+    model = randomized_tiny_model(
+        25, conv_groups=((3,), (4, 2)), aug_side=16, input_len=7, fc_sizes=(16, 5),
+        dropout_keep_input=0.8, dropout_keep_hidden=0.7,
+    )
+    x = Prng(26).uniform(4 * 7).reshape(4, 7)
+    y = np.array([4, 0, 2, 1])
+    npt.assert_array_equal(forward(model, x, "train", Prng(27)), composed_forward(model, x, "train", Prng(27)))
+    loss, _ = loss_and_grads(model, x, y, mode="train", rng=Prng(27))
+    assert loss == composed_loss(model, x, y, "train", Prng(27))
+
+
+def test_variant_b_test_mode_matches_hand_composition():
+    model = build_model(NetworkConfig.for_variant("B", init_std=0.05), Prng(28), dtype=np.float64)
+    x = Prng(29).uniform(2 * 144).reshape(2, 144)
+    y = np.array([3, 1])
+    npt.assert_array_equal(forward(model, x), composed_forward(model, x))
+    assert loss_and_grads(model, x, y, mode="test")[0] == composed_loss(model, x, y)
 
 
 def test_predict_uniform_on_zero_model():

@@ -2,55 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from emocnn.tensor import Prng, gaussian_init, matmul, reshape
-
-
-def test_matmul_identity():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    npt.assert_array_equal(matmul(np.eye(2), x), x)
-
-
-def test_matmul_hand_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0], [6.0]])
-    npt.assert_array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\) x \(2, 3\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_associative_in_float32():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        a = rng.random((4, 4), dtype=np.float32) - 0.5
-        b = rng.random((4, 4), dtype=np.float32) - 0.5
-        c = rng.random((4, 4), dtype=np.float32) - 0.5
-        npt.assert_allclose(matmul(matmul(a, b), c), matmul(a, matmul(b, c)), rtol=1e-6, atol=1e-6)
-
-
-def test_reshape_row_major_mapping():
-    flat = np.arange(3072.0)
-    grid = reshape(flat, (32, 32, 3))
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        i, j, k = rng.integers(32), rng.integers(32), rng.integers(3)
-        assert grid[i, j, k] == i * 96 + j * 3 + k
-
-
-def test_reshape_preserves_flat_order():
-    npt.assert_array_equal(reshape(np.arange(6), (2, 3)), np.array([[0, 1, 2], [3, 4, 5]]))
-
-
-def test_reshape_roundtrip_is_identity():
-    t = np.random.default_rng(2).random((4, 5, 6))
-    npt.assert_array_equal(reshape(reshape(t, (10, 12)), (4, 5, 6)), t)
-
-
-def test_reshape_count_mismatch():
-    with pytest.raises(ValueError, match="5 elements.*6 elements"):
-        reshape(np.zeros(5), (2, 3))
+from emocnn.tensor import Prng, gaussian_init
 
 
 def test_gaussian_init_zero_std_is_constant():

@@ -145,11 +145,6 @@ def test_encode_drops_non_alphabet_characters():
     assert seq[0] == 1 and seq[1] == 2 and not seq[2:].any()
 
 
-def test_encode_code_point_basis_flag():
-    seq = encode_dialogue("丁", remap_code_points=True)
-    assert seq[0] == 0x4E01 % 256
-
-
 def test_encode_length_is_always_144():
     rng = random.Random(0)
     for _ in range(500):
