@@ -8,7 +8,9 @@ File layout, all integers little-endian:
     metadata     UTF-8 JSON: network config, label order, and a tensor
                  directory of (name, rank, dims, offset) entries
     data         raw float32 tensor values in directory order; offsets in
-                 the directory are relative to the start of this section
+                 the directory are relative to the start of this section,
+                 and the tensors tile it with no gap, overlap or trailing
+                 byte
 
 The JSON is serialized with sorted keys and fixed separators, so saving the
 same parameters always produces byte-identical files.
@@ -16,6 +18,8 @@ same parameters always produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -90,6 +94,30 @@ def _directory_entry(path, entry):
     return name, rank, tuple(dims), offset
 
 
+def _tiled_entries(path, directory, data_len):
+    """(name, rank, dims) of each directory entry, type-checked. The
+    offsets must tile the data section exactly in directory order: each
+    tensor starts where the one before it ends, the first at 0, and the
+    last ends at end of file."""
+    entries = []
+    end = 0
+    for entry in directory:
+        name, rank, dims, offset = _directory_entry(path, entry)
+        if offset != end:
+            raise CheckpointShapeError(
+                f"{path}: tensor {name!r} at offset {offset}, expected {end} (a gap or an overlap)"
+            )
+        if any(d < 0 for d in dims):
+            raise CheckpointShapeError(f"{path}: tensor {name!r} has negative dims {dims}")
+        end += 4 * math.prod(dims)
+        entries.append((name, rank, dims))
+    if end > data_len:
+        raise CheckpointTruncatedError(f"{path}: tensor data is {data_len} bytes, directory needs {end}")
+    if end < data_len:
+        raise CheckpointShapeError(f"{path}: {data_len - end} bytes after the last tensor")
+    return entries
+
+
 def save_checkpoint(model: Model, path) -> None:
     """Write the model's parameters as float32, bit-exactly recoverable."""
     directory = []
@@ -118,23 +146,22 @@ def save_checkpoint(model: Model, path) -> None:
             fh.write(blob)
 
 
-def load_checkpoint(path, expect_variant: str | None = None) -> Model:
-    """Rebuild a model from a checkpoint, validating version, config, and
-    every tensor's shape. Parameters load as float32."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
+def _read_metadata(path, fh, expect_variant):
+    """Read the header and metadata from ``fh``, leaving it at the start of
+    the data section. Returns the validated config and the raw directory."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise CheckpointTruncatedError(f"{path}: file shorter than header")
-    magic, version, meta_len = _HEADER.unpack_from(raw)
+    magic, version, meta_len = _HEADER.unpack(head)
     if magic != MAGIC:
         raise CheckpointError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise CheckpointVersionError(f"{path}: format version {version}, expected {VERSION}")
-    meta_end = _HEADER.size + meta_len
-    if len(raw) < meta_end:
+    meta_bytes = fh.read(meta_len)
+    if len(meta_bytes) < meta_len:
         raise CheckpointTruncatedError(f"{path}: metadata truncated")
     try:
-        meta = json.loads(raw[_HEADER.size : meta_end].decode("utf-8"))
+        meta = json.loads(meta_bytes.decode("utf-8"))
         config, labels, directory = meta["config"], meta["labels"], meta["tensors"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: unreadable metadata: {exc}") from None
@@ -147,27 +174,36 @@ def load_checkpoint(path, expect_variant: str | None = None) -> Model:
         raise CheckpointConfigError(
             f"{path}: checkpoint is variant {config.variant}, expected {expect_variant}"
         )
+    return config, directory
 
-    model = allocate_model(config, dtype=np.float32)
-    params = model.parameters()
-    seen = set()
-    data = raw[meta_end:]
-    for entry in directory:
-        name, rank, dims, start = _directory_entry(path, entry)
-        if name not in params:
-            raise CheckpointShapeError(f"{path}: unknown tensor {name!r}")
-        if name in seen:
-            raise CheckpointShapeError(f"{path}: tensor {name!r} listed twice")
-        param = params[name]
-        if dims != param.shape or rank != param.ndim:
-            raise CheckpointShapeError(
-                f"{path}: tensor {name!r} has dims {dims}, model expects {param.shape}"
-            )
-        nbytes = param.size * 4
-        if start < 0 or start + nbytes > len(data):
-            raise CheckpointTruncatedError(f"{path}: tensor {name!r} data out of bounds")
-        param[...] = np.frombuffer(data[start : start + nbytes], dtype="<f4").reshape(dims)
-        seen.add(name)
+
+def load_checkpoint(path, expect_variant: str | None = None) -> Model:
+    """Rebuild a model from a checkpoint, validating version, config, and
+    every tensor's shape. Parameters load as float32, read from the file
+    straight into the model; the data section is never held a second time."""
+    with open(path, "rb") as fh:
+        config, directory = _read_metadata(path, fh, expect_variant)
+        entries = _tiled_entries(path, directory, os.fstat(fh.fileno()).st_size - fh.tell())
+        # Little-endian float32 is the file's byte order, so each tensor's
+        # bytes can be read into its parameter as they are.
+        model = allocate_model(config, dtype="<f4")
+        params = model.parameters()
+        seen = set()
+        for name, rank, dims in entries:
+            if name not in params:
+                raise CheckpointShapeError(f"{path}: unknown tensor {name!r}")
+            if name in seen:
+                raise CheckpointShapeError(f"{path}: tensor {name!r} listed twice")
+            param = params[name]
+            if dims != param.shape or rank != param.ndim:
+                raise CheckpointShapeError(
+                    f"{path}: tensor {name!r} has dims {dims}, model expects {param.shape}"
+                )
+            # The entries tile the data section in order, so the file is at
+            # this tensor's offset.
+            if fh.readinto(param) != param.nbytes:
+                raise CheckpointTruncatedError(f"{path}: tensor {name!r} data out of bounds")
+            seen.add(name)
     missing = set(params) - seen
     if missing:
         raise CheckpointShapeError(f"{path}: missing tensors: {sorted(missing)}")

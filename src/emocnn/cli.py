@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointConfigError, CheckpointError, load_checkpoint, save_checkpoint
 from .evaluation import (
     config_sweep_to_csv,
     evaluate,
@@ -20,7 +20,7 @@ from .evaluation import (
 )
 from .network import NetworkConfig, VARIANTS, build_model, predict
 from .tensor import Prng
-from .text import DataError, encode_dataset, encode_dialogue, load_dataset, load_stop_words
+from .text import SEQUENCE_LENGTH, DataError, encode_dataset, encode_dialogue, load_dataset, load_stop_words
 from .training import NumericalFault, TrainConfig
 
 EXIT_OK = 0
@@ -110,8 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_encoded(args):
     stops = load_stop_words(args.stopwords) if args.stopwords else ()
-    dialogues = load_dataset(args.data)
-    return encode_dataset(dialogues, stops), stops
+    return encode_dataset(load_dataset(args.data), stops)
+
+
+def _load_model(args):
+    """The checkpoint of ``--ckpt``; it must take the 144-byte encoding."""
+    model = load_checkpoint(args.ckpt)
+    if model.config.input_len != SEQUENCE_LENGTH:
+        raise CheckpointConfigError(
+            f"{args.ckpt}: input_len is {model.config.input_len}, the encoder makes {SEQUENCE_LENGTH}"
+        )
+    return model
 
 
 def _train_config(args) -> TrainConfig:
@@ -126,19 +135,18 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_preprocess(args) -> int:
-    stops = load_stop_words(args.stopwords) if args.stopwords else ()
-    dialogues = load_dataset(args.data)
+    codes, _ = _load_encoded(args)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for d in dialogues:
-            fh.write(bytes(encode_dialogue(d.text, stops)).hex() + "\n")
-    print(f"encoded {len(dialogues)} dialogues -> {args.out}")
+        for row in codes:
+            fh.write(row.tobytes().hex() + "\n")
+    print(f"encoded {len(codes)} dialogues -> {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     from .training import train
 
-    (codes, labels), _ = _load_encoded(args)
+    codes, labels = _load_encoded(args)
     config = NetworkConfig.for_variant(args.variant, l2_strength=args.l2)
     model = build_model(config, Prng(args.seed))
     model, log = train(model, (codes, labels), _train_config(args))
@@ -152,8 +160,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    (codes, labels), _ = _load_encoded(args)
-    model = load_checkpoint(args.ckpt)
+    codes, labels = _load_encoded(args)
+    model = _load_model(args)
     report = evaluate(model, (codes, labels))
     report_to_csv(report, args.report)
     print(f"overall top-1: {report.overall_top1:.4f} over {report.n_examples} examples")
@@ -161,7 +169,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_checkpoint(args.ckpt)
+    model = _load_model(args)
     stops = load_stop_words(args.stopwords) if args.stopwords else ()
     label, probs = predict(model, encode_dialogue(args.text, stops))
     print(label.name.lower() + " " + " ".join(f"{p:.6f}" for p in probs))
@@ -169,7 +177,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep_config(args) -> int:
-    (codes, labels), _ = _load_encoded(args)
+    codes, labels = _load_encoded(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     rows = sweep_configs((codes, labels), variants, _train_config(args))
     config_sweep_to_csv(rows, args.out)
@@ -179,7 +187,7 @@ def cmd_sweep_config(args) -> int:
 
 
 def cmd_sweep_params(args) -> int:
-    (codes, labels), _ = _load_encoded(args)
+    codes, labels = _load_encoded(args)
     rows = sweep_params((codes, labels), args.grid, _train_config(args), variant=args.variant)
     param_sweep_to_csv(rows, args.out)
     for r in rows:

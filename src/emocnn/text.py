@@ -71,16 +71,10 @@ def _group_stops(stops: Sequence[str]):
     return by_first, max_len
 
 
-def remove_stop_words(text: str, stops: Sequence[str]) -> str:
-    """Delete stop words until none occurs, keeping the survivors' order.
-
-    Repeatedly removes the leftmost match, preferring the longest entry at
-    that position. A deletion can join characters into a new match, so the
-    scan backs up past the cut before continuing.
-    """
-    if not stops:
+def _strip(text: str, by_first: dict[str, list[str]], max_len: int) -> str:
+    """``remove_stop_words`` with its index built by ``_group_stops``."""
+    if not by_first:
         return text
-    by_first, max_len = _group_stops(stops)
     i = 0
     while i < len(text):
         bucket = by_first.get(text[i])
@@ -95,6 +89,16 @@ def remove_stop_words(text: str, stops: Sequence[str]) -> str:
         else:
             i += 1
     return text
+
+
+def remove_stop_words(text: str, stops: Sequence[str]) -> str:
+    """Delete stop words until none occurs, keeping the survivors' order.
+
+    Repeatedly removes the leftmost match, preferring the longest entry at
+    that position. A deletion can join characters into a new match, so the
+    scan backs up past the cut before continuing.
+    """
+    return _strip(text, *_group_stops(stops))
 
 
 def load_stop_words(path) -> tuple[str, ...]:
@@ -134,14 +138,9 @@ def remap(ordinal: int) -> int:
     return ordinal % BYTE_RANGE
 
 
-def encode_dialogue(text: str, stops: Sequence[str] = ()) -> np.ndarray:
-    """Encode a dialogue as exactly 144 byte codes (uint8).
-
-    Characters outside the alphabet are dropped; the first 144 surviving
-    codes are kept and the tail is zero-padded.
-    """
-    text = normalize_width(text)
-    text = remove_stop_words(text, stops)
+def _encode(text: str, index) -> np.ndarray:
+    """``encode_dialogue`` with the stop-word index built by ``_group_stops``."""
+    text = _strip(normalize_width(text), *index)
     codes = []
     for ch in text:
         ordinal = alphabet_ordinal(ch)
@@ -153,6 +152,15 @@ def encode_dialogue(text: str, stops: Sequence[str] = ()) -> np.ndarray:
     out = np.zeros(SEQUENCE_LENGTH, dtype=np.uint8)
     out[: len(codes)] = codes
     return out
+
+
+def encode_dialogue(text: str, stops: Sequence[str] = ()) -> np.ndarray:
+    """Encode a dialogue as exactly 144 byte codes (uint8).
+
+    Characters outside the alphabet are dropped; the first 144 surviving
+    codes are kept and the tail is zero-padded.
+    """
+    return _encode(text, _group_stops(stops))
 
 
 def load_dataset(path) -> list[RawDialogue]:
@@ -194,12 +202,16 @@ def split_dataset(data: Sequence, eval_fraction: float, seed: int):
 
 
 def encode_dataset(dialogues: Sequence[RawDialogue], stops: Sequence[str] = ()):
-    """Encode labeled dialogues into (codes [N,144] uint8, labels [N] int64)."""
+    """Encode labeled dialogues into (codes [N,144] uint8, labels [N] int64).
+
+    Row i equals ``encode_dialogue(dialogues[i].text, stops)``; the
+    stop-word index is built once for the whole call."""
+    index = _group_stops(stops)
     codes = np.zeros((len(dialogues), SEQUENCE_LENGTH), dtype=np.uint8)
     labels = np.zeros(len(dialogues), dtype=np.int64)
     for i, d in enumerate(dialogues):
         if d.label is None:
             raise DataError(f"dialogue {i} has no label")
-        codes[i] = encode_dialogue(d.text, stops)
+        codes[i] = _encode(d.text, index)
         labels[i] = int(d.label)
     return codes, labels

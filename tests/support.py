@@ -230,15 +230,38 @@ def write_marker_tsv(path, n, seed, n_classes=5):
     return path
 
 
-def rewrite_checkpoint_meta(path, edit):
-    """Apply edit(meta) to a saved checkpoint's JSON metadata, keeping its data."""
+def rewrite_checkpoint_meta(path, edit, edit_data=None):
+    """Apply edit(meta) to a saved checkpoint's JSON metadata, keeping its
+    data, or replacing it by edit_data(meta, data) when that is given."""
     blob = path.read_bytes()
     header = struct.Struct("<4sHI")
     _, version, meta_len = header.unpack_from(blob)
     meta = json.loads(blob[header.size : header.size + meta_len].decode())
     edit(meta)
+    data = blob[header.size + meta_len :]
+    if edit_data is not None:
+        data = edit_data(meta, data)
     new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(header.pack(MAGIC, version, len(new_meta)) + new_meta + blob[header.size + meta_len :])
+    path.write_bytes(header.pack(MAGIC, version, len(new_meta)) + new_meta + data)
+
+
+def _shift_offsets_after_first(meta, by):
+    for entry in meta["tensors"][1:]:
+        entry["offset"] += by
+
+
+def _insert_before_second(meta, data, n=4):
+    cut = meta["tensors"][1]["offset"] - n
+    return data[:cut] + bytes(n) + data[cut:]
+
+
+# (metadata edit, data edit) pairs that break the rule that tensor offsets
+# tile the data section exactly; each would load at a loader without it.
+CHECKPOINT_LAYOUT_FAULTS = {
+    "trailing-bytes": (lambda meta: None, lambda meta, data: data + bytes(8)),
+    "overlap": (lambda meta: meta["tensors"][1].update(offset=meta["tensors"][0]["offset"]), None),
+    "gap": (lambda meta: _shift_offsets_after_first(meta, 4), _insert_before_second),
+}
 
 
 # Edits of a saved tiny-config checkpoint's metadata that must not load.
@@ -249,3 +272,15 @@ CHECKPOINT_META_FAULTS = {
     "string-aug-side": lambda meta: meta["config"].update(aug_side="6"),
     "duplicate-tensor": lambda meta: meta["tensors"].append(meta["tensors"][0]),
 }
+
+
+def remove_stop_words_naive(text, stops):
+    """Reference stop-word removal: delete the leftmost match, taking the
+    longest stop word at that position, then rescan from the start, until
+    no stop word occurs."""
+    while True:
+        hits = [(i, -len(w)) for w in set(stops) for i in range(len(text)) if text.startswith(w, i)]
+        if not hits:
+            return text
+        i, minus_len = min(hits)
+        text = text[:i] + text[i - minus_len :]

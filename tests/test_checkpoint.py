@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from emocnn import checkpoint
 from emocnn.checkpoint import (
     MAGIC,
     CheckpointConfigError,
@@ -15,7 +18,7 @@ from emocnn.checkpoint import (
 from emocnn.network import build_model
 from emocnn.tensor import Prng
 
-from support import CHECKPOINT_META_FAULTS, rewrite_checkpoint_meta, tiny_config
+from support import CHECKPOINT_LAYOUT_FAULTS, CHECKPOINT_META_FAULTS, rewrite_checkpoint_meta, tiny_config
 
 
 def _small_model(seed=0):
@@ -170,3 +173,44 @@ def test_float64_model_saves_as_float32(tmp_path):
     loaded = load_checkpoint(path)
     for (_, pa), (_, pb) in zip(model.named_parameters(), loaded.named_parameters()):
         npt.assert_array_equal(pa.astype(np.float32), pb)
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_LAYOUT_FAULTS))
+def test_offsets_must_tile_the_data_section(tmp_path, case):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(12), path)
+    rewrite_checkpoint_meta(path, *CHECKPOINT_LAYOUT_FAULTS[case])
+    with pytest.raises(CheckpointShapeError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", ["truncated", *sorted(CHECKPOINT_LAYOUT_FAULTS)])
+def test_layout_is_checked_before_allocation(tmp_path, monkeypatch, case):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(13), path)
+    if case == "truncated":
+        path.write_bytes(path.read_bytes()[:-4])
+    else:
+        rewrite_checkpoint_meta(path, *CHECKPOINT_LAYOUT_FAULTS[case])
+    allocations = []
+    monkeypatch.setattr(checkpoint, "allocate_model", lambda *a, **k: allocations.append(a))
+    with pytest.raises((CheckpointShapeError, CheckpointTruncatedError)):
+        load_checkpoint(path)
+    assert allocations == []
+
+
+def test_load_peak_memory_is_about_the_file_size(tmp_path):
+    # The parameters alone: the data section is read straight into them,
+    # never held as a bytes object or a copy of one.
+    config = tiny_config(input_len=144, aug_side=32, aug_channels=3, fc_sizes=(1024, 5))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(config, Prng(14), dtype=np.float32), path)
+    size = path.stat().st_size
+    assert size > 4_000_000
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * size, f"peak {peak / size:.2f}x the file size"

@@ -7,8 +7,15 @@ from emocnn.checkpoint import save_checkpoint
 from emocnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from emocnn.network import build_model
 from emocnn.tensor import Prng
+from emocnn.text import encode_dialogue, load_dataset
 
-from support import CHECKPOINT_META_FAULTS, rewrite_checkpoint_meta, tiny_config, write_marker_tsv
+from support import (
+    CHECKPOINT_LAYOUT_FAULTS,
+    CHECKPOINT_META_FAULTS,
+    rewrite_checkpoint_meta,
+    tiny_config,
+    write_marker_tsv,
+)
 
 
 @pytest.fixture()
@@ -35,11 +42,16 @@ def test_preprocess_writes_hex_lines(tmp_path, data_tsv):
 
 
 def test_preprocess_with_stopwords(tmp_path, data_tsv):
+    # Stop words that hit, nest and join. The file is one hex line of
+    # encode_dialogue per dialogue, the form preprocess always wrote.
+    stop_list = ("丆", "丆丆", "丈丆", "丅")
     stops = tmp_path / "stops.txt"
-    stops.write_text("丆\n", encoding="utf-8")
+    stops.write_text("\n".join(stop_list) + "\n", encoding="utf-8")
     out = tmp_path / "seqs.hex"
     assert main(["preprocess", "--data", data_tsv, "--stopwords", str(stops), "--out", str(out)]) == EXIT_OK
     assert "06" not in {line[i : i + 2] for line in out.read_text().splitlines() for i in range(0, 288, 2)}
+    want = "".join(bytes(encode_dialogue(d.text, stop_list)).hex() + "\n" for d in load_dataset(data_tsv))
+    assert out.read_text(encoding="utf-8") == want
 
 
 def test_train_eval_predict_roundtrip(tmp_path, data_tsv):
@@ -134,6 +146,24 @@ def test_bad_checkpoint_metadata_predict_exits_2(tmp_path, capsys, case):
     rewrite_checkpoint_meta(ckpt, CHECKPOINT_META_FAULTS[case])
     assert main(["predict", "--ckpt", str(ckpt), "--text", "丁"]) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_LAYOUT_FAULTS))
+def test_checkpoint_layout_fault_predict_exits_2(tmp_path, capsys, case):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(tiny_config(input_len=144), Prng(0), dtype=np.float32), ckpt)
+    rewrite_checkpoint_meta(ckpt, *CHECKPOINT_LAYOUT_FAULTS[case])
+    assert main(["predict", "--ckpt", str(ckpt), "--text", "丁"]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_checkpoint_input_len_not_144_exits_2(tmp_path, capsys, data_tsv, command):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(tiny_config(), Prng(0), dtype=np.float32), ckpt)  # input_len 5
+    tail = ["--text", "丁"] if command == "predict" else ["--data", data_tsv, "--report", str(tmp_path / "r.csv")]
+    assert main([command, "--ckpt", str(ckpt), *tail]) == EXIT_DATA
+    assert "input_len" in capsys.readouterr().err
 
 
 def test_divergent_training_exits_3(tmp_path, data_tsv):

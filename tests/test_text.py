@@ -3,7 +3,10 @@ import random
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emocnn import text as text_module
 from emocnn.labels import EmotionLabel
 from emocnn.text import (
     ALPHABET_RANGES,
@@ -21,6 +24,8 @@ from emocnn.text import (
     split_dataset,
     RawDialogue,
 )
+
+from support import remove_stop_words_naive
 
 
 def test_normalize_width_letters_and_digits():
@@ -236,3 +241,44 @@ def test_encode_dataset_shapes():
 def test_encode_dataset_requires_labels():
     with pytest.raises(DataError):
         encode_dataset([RawDialogue("丁", None)])
+
+
+# Few characters, so deletions often join neighbours into new matches: three
+# ideographs, a full-width letter, its half-width form (which normalization
+# turns into it) and a character outside the alphabet.
+_CHARS = "一丁丂ａa!"
+_words = st.text(alphabet=_CHARS, min_size=1, max_size=3)
+
+
+@st.composite
+def _stop_lists(draw):
+    """Stop lists with duplicates and with every prefix of some entries."""
+    words = draw(st.lists(_words, min_size=1, max_size=5))
+    prefixes = [w[:k] for w in words[: draw(st.integers(0, len(words)))] for k in range(1, len(w))]
+    return draw(st.permutations(words + prefixes + words[:1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=_CHARS, max_size=40), stops=_stop_lists())
+def test_remove_stop_words_matches_naive_reference(text, stops):
+    kept = remove_stop_words(text, stops)
+    assert kept == remove_stop_words_naive(text, stops)
+    assert not any(w in kept for w in stops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(st.text(alphabet=_CHARS, max_size=160), max_size=6), stops=_stop_lists())
+def test_encode_dataset_rows_equal_encode_dialogue(texts, stops):
+    codes, _ = encode_dataset([RawDialogue(t, EmotionLabel.NEUTRAL) for t in texts], stops)
+    assert codes.shape == (len(texts), SEQUENCE_LENGTH)
+    for row, t in zip(codes, texts):
+        npt.assert_array_equal(row, encode_dialogue(t, stops))
+
+
+def test_encode_dataset_builds_the_stop_index_once(monkeypatch):
+    calls = []
+    group = text_module._group_stops
+    monkeypatch.setattr(text_module, "_group_stops", lambda stops: calls.append(stops) or group(stops))
+    rows = [RawDialogue(t, EmotionLabel.POSITIVE) for t in ("丁丂", "丂丁丁", "一")]
+    encode_dataset(rows, ("丁", "丂丁"))
+    assert len(calls) == 1
