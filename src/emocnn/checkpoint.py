@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .labels import LABEL_NAMES
-from .network import Model, NetworkConfig, allocate_model, config_from_dict, config_to_dict
+from .network import Model, NetworkConfig, allocate_model, config_from_dict, config_to_dict, _parameter_shapes
 
 MAGIC = b"EMON"
 VERSION = 1
@@ -177,34 +177,45 @@ def _read_metadata(path, fh, expect_variant):
     return config, directory
 
 
+def _checked_entries(path, config, entries):
+    """The directory checked against the parameter shapes the config
+    implies: every tensor listed once, with its shape, and none unknown.
+    Allocates nothing, so a config that implies huge tensors fails here."""
+    expected = dict(_parameter_shapes(config))
+    seen = set()
+    for name, rank, dims in entries:
+        if name not in expected:
+            raise CheckpointShapeError(f"{path}: unknown tensor {name!r}")
+        if name in seen:
+            raise CheckpointShapeError(f"{path}: tensor {name!r} listed twice")
+        if dims != expected[name] or rank != len(expected[name]):
+            raise CheckpointShapeError(
+                f"{path}: tensor {name!r} has dims {dims}, model expects {expected[name]}"
+            )
+        seen.add(name)
+    missing = expected.keys() - seen
+    if missing:
+        raise CheckpointShapeError(f"{path}: missing tensors: {sorted(missing)}")
+    return [name for name, _, _ in entries]
+
+
 def load_checkpoint(path, expect_variant: str | None = None) -> Model:
     """Rebuild a model from a checkpoint, validating version, config, and
-    every tensor's shape. Parameters load as float32, read from the file
-    straight into the model; the data section is never held a second time."""
+    every tensor's shape before any parameter is allocated. Parameters load
+    as float32, read from the file straight into the model; the data
+    section is never held a second time."""
     with open(path, "rb") as fh:
         config, directory = _read_metadata(path, fh, expect_variant)
         entries = _tiled_entries(path, directory, os.fstat(fh.fileno()).st_size - fh.tell())
+        names = _checked_entries(path, config, entries)
         # Little-endian float32 is the file's byte order, so each tensor's
         # bytes can be read into its parameter as they are.
         model = allocate_model(config, dtype="<f4")
         params = model.parameters()
-        seen = set()
-        for name, rank, dims in entries:
-            if name not in params:
-                raise CheckpointShapeError(f"{path}: unknown tensor {name!r}")
-            if name in seen:
-                raise CheckpointShapeError(f"{path}: tensor {name!r} listed twice")
+        for name in names:
             param = params[name]
-            if dims != param.shape or rank != param.ndim:
-                raise CheckpointShapeError(
-                    f"{path}: tensor {name!r} has dims {dims}, model expects {param.shape}"
-                )
             # The entries tile the data section in order, so the file is at
             # this tensor's offset.
             if fh.readinto(param) != param.nbytes:
                 raise CheckpointTruncatedError(f"{path}: tensor {name!r} data out of bounds")
-            seen.add(name)
-    missing = set(params) - seen
-    if missing:
-        raise CheckpointShapeError(f"{path}: missing tensors: {sorted(missing)}")
     return model

@@ -54,7 +54,7 @@ def report_from_predictions(preds, truths) -> EvalReport:
     )
 
 
-def evaluate(model, dataset, batch_size: int = 256) -> EvalReport:
+def evaluate(model, dataset, batch_size: int = 32) -> EvalReport:
     """Top-1 accuracy report over (codes, labels).
 
     ``model`` is either a built Model or any callable mapping the code array

@@ -110,7 +110,8 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
     if h < fh or w < fw:
         raise ValueError(f"conv input {h}x{w} smaller than {fh}x{fw} filter")
     cols = _im2col(x, fh, fw)
-    out = cols @ p.filters.reshape(k, -1).T + p.bias
+    out = cols @ p.filters.reshape(k, -1).T
+    out += p.bias
     return out.reshape(batch, h - fh + 1, w - fw + 1, k)
 
 
@@ -169,14 +170,22 @@ def _pad_neg_inf(x: np.ndarray, top: int, left: int, bottom: int, right: int) ->
 def maxpool_forward(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     if x.ndim != 4:
         raise ValueError(f"pool input must be [B,H,W,C], got {x.shape}")
-    batch, h, w, c = x.shape
+    _, h, w, _ = x.shape
     win, stride = spec.window, spec.stride
     oh, ow, (top, left, bottom, right) = _pool_geometry(h, w, spec)
     xp = _pad_neg_inf(x, top, left, bottom, right)
-    out = np.full((batch, oh, ow, c), -np.inf, dtype=x.dtype)
-    for i in range(win):
-        for j in range(win):
-            np.maximum(out, xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :], out=out)
+    # Separable: the maxima along each row's windows, then down the columns
+    # of those, so 2 * win passes instead of win * win.
+    row_max = _running_max([xp[:, :, j : j + stride * ow : stride, :] for j in range(win)])
+    return _running_max([row_max[:, i : i + stride * oh : stride] for i in range(win)])
+
+
+def _running_max(views: list[np.ndarray]) -> np.ndarray:
+    """Elementwise maximum of equal-shape views, taken in list order into a
+    new array. np.maximum propagates NaN, so a NaN in any view wins."""
+    out = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
+    for v in views[2:]:
+        np.maximum(out, v, out=out)
     return out
 
 

@@ -30,7 +30,6 @@ from .layers import (
     dropout_forward,
     maxpool_backward,
     maxpool_forward,
-    relu,
     relu_backward,
     softmax,
     softmax_cross_entropy,
@@ -186,26 +185,45 @@ def _validate_config(config: NetworkConfig) -> None:
             )
 
 
-def allocate_model(config: NetworkConfig, dtype=DEFAULT_DTYPE) -> Model:
-    """Model with zero-filled parameters (checkpoint loading, tests)."""
+def _parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in ``Model.named_parameters()``
+    order: the layer plan walked with no array allocated, so a checkpoint's
+    directory can be checked before its model is. Raises ValueError unless
+    the config is valid."""
     _validate_config(config)
-    aug = AffineParams(
-        W=np.zeros((config.augmentation_out, config.input_len), dtype=dtype),
-        b=np.zeros(config.augmentation_out, dtype=dtype),
-    )
-    convs, fcs = [], []
+    shapes = [
+        ("augmentation.W", (config.augmentation_out, config.input_len)),
+        ("augmentation.b", (config.augmentation_out,)),
+    ]
     in_ch, in_dim = config.aug_channels, config.flatten_width()
+    n_conv = n_fc = 0
     for kind, width in config.layer_plan():
         if kind == "conv":
-            convs.append(ConvParams(
-                filters=np.zeros((width, layers.FILTER_SIZE, layers.FILTER_SIZE, in_ch), dtype=dtype),
-                bias=np.zeros(width, dtype=dtype),
-            ))
+            n_conv += 1
+            shapes += [
+                (f"conv{n_conv}.filters", (width, layers.FILTER_SIZE, layers.FILTER_SIZE, in_ch)),
+                (f"conv{n_conv}.bias", (width,)),
+            ]
             in_ch = width
         elif kind == "fc":
-            fcs.append(AffineParams(W=np.zeros((width, in_dim), dtype=dtype), b=np.zeros(width, dtype=dtype)))
+            n_fc += 1
+            shapes += [(f"fc{n_fc}.W", (width, in_dim)), (f"fc{n_fc}.b", (width,))]
             in_dim = width
-    return Model(config=config, augmentation=aug, convs=convs, fcs=fcs)
+    return shapes
+
+
+def allocate_model(config: NetworkConfig, dtype=DEFAULT_DTYPE) -> Model:
+    """Model with zero-filled parameters (checkpoint loading, tests)."""
+    arrays = [np.zeros(shape, dtype=dtype) for _, shape in _parameter_shapes(config)]
+    # One (weights, bias) pair per weighted layer: augmentation, convs, fcs.
+    pairs = [arrays[i : i + 2] for i in range(0, len(arrays), 2)]
+    n_conv = len(config.channel_plan)
+    return Model(
+        config=config,
+        augmentation=AffineParams(*pairs[0]),
+        convs=[ConvParams(*pair) for pair in pairs[1 : 1 + n_conv]],
+        fcs=[AffineParams(*pair) for pair in pairs[1 + n_conv :]],
+    )
 
 
 def build_model(config: NetworkConfig, rng: Prng, dtype=DEFAULT_DTYPE) -> Model:
@@ -218,18 +236,21 @@ def build_model(config: NetworkConfig, rng: Prng, dtype=DEFAULT_DTYPE) -> Model:
     return model
 
 
-def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None):
+def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, record: bool = True):
     """Logits, and a tape of one backward step per layer in forward order.
 
     A step is (backward, names). ``backward`` maps the gradient at the
     layer's output to the gradient at its input; for a weighted layer it
     also returns the gradients of its weights and bias, called ``names``.
+    Unless ``record``, the tape stays empty and holds no layer's input, so
+    each activation is freed once the next layer has run.
     """
     cfg = model.config
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != cfg.input_len:
         raise ValueError(f"batch must be [B, {cfg.input_len}], got {batch.shape}")
     tape = []
+    push = tape.append if record else lambda step: None
     names = iter([name for name, _ in model.named_parameters()])
     convs, fcs = iter(model.convs), iter(model.fcs)
     drop_hidden = DropoutSpec(cfg.dropout_keep_hidden)
@@ -238,12 +259,18 @@ def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None):
     hidden_dropout = mode == "train" and cfg.dropout_keep_hidden < 1.0
 
     def weighted(layer_forward, layer_backward, x, p):
-        tape.append((partial(layer_backward, x=x, p=p), (next(names), next(names))))
+        push((partial(layer_backward, x=x, p=p), (next(names), next(names))))
         return layer_forward(x, p)
 
     def reshape(x, shape):
-        tape.append((methodcaller("reshape", x.shape), ()))
+        push((methodcaller("reshape", x.shape), ()))
         return x.reshape(shape)
+
+    def rectify(z):
+        # In place: z is a fresh layer output, and relu_backward's mask
+        # (x > 0) is the same on the rectified values.
+        push((partial(relu_backward, x=z), ()))
+        return np.maximum(z, 0, out=z)
 
     # No gradient flows to the input, so input dropout records no step.
     h, _ = dropout_forward(batch, DropoutSpec(cfg.dropout_keep_input), mode, rng)
@@ -252,27 +279,25 @@ def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None):
     plan = cfg.layer_plan()
     for i, (kind, arg) in enumerate(plan):
         if kind == "conv":
-            z = weighted(conv2d_forward, conv2d_backward, h, next(convs))
-            tape.append((partial(relu_backward, x=z), ()))
-            h = relu(z)
+            h = rectify(weighted(conv2d_forward, conv2d_backward, h, next(convs)))
         elif kind == "pool":
-            tape.append((partial(maxpool_backward, x=h, spec=arg), ()))
+            push((partial(maxpool_backward, x=h, spec=arg), ()))
             h = maxpool_forward(h, arg)
         else:
             if h.ndim == 4:  # NHWC, flattened row-major for the first fc
                 h = reshape(h, (len(h), -1))
             h = weighted(affine_forward, affine_backward, h, next(fcs))
             if i < len(plan) - 1:
-                tape.append((partial(relu_backward, x=h), ()))
-                h, mask = dropout_forward(relu(h), drop_hidden, mode, rng)
+                h, mask = dropout_forward(rectify(h), drop_hidden, mode, rng)
                 if hidden_dropout:
-                    tape.append((partial(dropout_backward, mask=mask, spec=drop_hidden), ()))
+                    push((partial(dropout_backward, mask=mask, spec=drop_hidden), ()))
     return h, tape
 
 
 def forward(model: Model, batch: np.ndarray, mode: str = "test", rng: Prng | None = None) -> np.ndarray:
-    """Logits [B, 5] for a batch of inputs already scaled to [0, 1]."""
-    logits, _ = _run_forward(model, batch, mode, rng)
+    """Logits [B, 5] for a batch of inputs already scaled to [0, 1]. Records
+    no backward tape."""
+    logits, _ = _run_forward(model, batch, mode, rng, record=False)
     return logits
 
 
@@ -321,8 +346,11 @@ def predict(model: Model, seq) -> tuple[EmotionLabel, np.ndarray]:
     return EmotionLabel(int(np.argmax(probs))), probs
 
 
-def predict_batch(model: Model, codes: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Predicted class indices for raw byte codes [N, 144], in chunks."""
+def predict_batch(model: Model, codes: np.ndarray, batch_size: int = 32) -> np.ndarray:
+    """Predicted class indices for raw byte codes [N, 144], in chunks of
+    ``batch_size`` rows. At 32 rows conv3's im2col is 82 MB for variant B,
+    against 655 MB at 256; the GEMMs' low bits, and so near-tied labels,
+    can differ between chunk sizes."""
     x = scale_codes(codes, model.dtype)
     out = np.empty(len(x), dtype=np.int64)
     for start in range(0, len(x), batch_size):

@@ -16,6 +16,15 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 
+# Normals per block of Prng._normal_blocks: bounds the float64 and uint64
+# temporaries of a Gaussian init to a few MB whatever the tensor's size.
+_NORMAL_BLOCK = 1 << 16
+
+
+def _unit_float(draws: np.ndarray) -> np.ndarray:
+    """Raw draws as float64 in [0, 1), from the top 53 bits of each."""
+    return (draws >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _MIX_A
@@ -39,28 +48,52 @@ class Prng:
         self._seed = np.uint64(int(seed) & _U64_MASK)
         self._drawn = 0
 
+    def _draws(self, first: int, n: int) -> np.ndarray:
+        """Raw draws number ``first`` to ``first + n - 1``, not advancing
+        the stream."""
+        idx = np.arange(first + 1, first + n + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            return _splitmix64(self._seed + idx * _GOLDEN)
+
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit draws as a uint64 array."""
         if n < 0:
             raise ValueError(f"draw count must be non-negative, got {n}")
-        idx = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
+        first = self._drawn
         self._drawn += n
-        with np.errstate(over="ignore"):
-            return _splitmix64(self._seed + idx * _GOLDEN)
+        return self._draws(first, n)
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` float64 samples in [0, 1), using the top 53 bits per draw."""
-        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return _unit_float(self.raw(n))
+
+    def _normal_blocks(self, n: int):
+        """The next ``n`` standard normals (Box-Muller) as (start, values)
+        blocks of at most ``_NORMAL_BLOCK`` values, advancing the stream by
+        2 * ceil(n / 2) draws. Pair k of the ceil(n / 2) pairs takes its two
+        uniforms from draws k and ceil(n / 2) + k; its cosine is normal k
+        and its sine normal ceil(n / 2) + k, dropped when that is n. The
+        stream advances when the first block is drawn, so callers iterate
+        it at once."""
+        half = (n + 1) // 2
+        first = self._drawn
+        self._drawn += 2 * half
+        for k in range(0, half, _NORMAL_BLOCK // 2):
+            pairs = min(_NORMAL_BLOCK // 2, half - k)
+            u1 = _unit_float(self._draws(first + k, pairs))
+            u2 = _unit_float(self._draws(first + half + k, pairs))
+            # 1 - u1 is in (0, 1], so the log is finite.
+            radius = np.sqrt(-2.0 * np.log1p(-u1))
+            angle = (2.0 * math.pi) * u2
+            yield k, radius * np.cos(angle)
+            yield half + k, (radius * np.sin(angle))[: n - half - k]
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal float64 samples via the Box-Muller transform."""
-        half = (n + 1) // 2
-        u1 = self.uniform(half)
-        u2 = self.uniform(half)
-        # 1 - u1 is in (0, 1], so the log is finite.
-        radius = np.sqrt(-2.0 * np.log1p(-u1))
-        angle = (2.0 * math.pi) * u2
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+        out = np.empty(n)
+        for start, values in self._normal_blocks(n):
+            out[start : start + len(values)] = values
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n). Modulo bias is accepted."""
@@ -85,8 +118,11 @@ def gaussian_init(shape, mean: float, std: float, rng: Prng, dtype=DEFAULT_DTYPE
         raise ValueError(f"std must be non-negative, got {std}")
     shape = tuple(int(d) for d in shape)
     size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    out = np.empty(size, dtype=dtype)
     if std == 0:
-        values = np.full(size, float(mean))
+        out.fill(float(mean))
     else:
-        values = rng.normal(size) * std + mean
-    return values.reshape(shape).astype(dtype)
+        # Scaled and shifted in float64, then rounded once into the result.
+        for start, z in rng._normal_blocks(size):
+            out[start : start + len(z)] = z * std + mean
+    return out.reshape(shape)

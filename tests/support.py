@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -10,11 +12,9 @@ from emocnn import NetworkConfig, Prng, build_model, encode_dialogue
 from emocnn.checkpoint import MAGIC
 from emocnn.layers import (
     DropoutSpec,
-    PoolSpec,
     affine_forward,
     conv2d_forward,
     dropout_forward,
-    maxpool_forward,
     relu,
     softmax_cross_entropy,
 )
@@ -109,6 +109,48 @@ def conv2d_backward_naive(dy, x, filters):
     return dx, dfilters, dbias
 
 
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs,
+    above what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def normal_one_shot(rng, n):
+    """Reference Box-Muller: all ceil(n/2) first uniforms, then all second
+    ones, drawn in one call each; cosines first, then sines, cut to n."""
+    half = (n + 1) // 2
+    u1 = rng.uniform(half)
+    u2 = rng.uniform(half)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = (2.0 * math.pi) * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+
+
+def maxpool_forward_naive(x, window, stride, padding):
+    """Reference max pool: a running maximum from -inf over the window's
+    shifted strided views, in row-major offset order. "same" pads with
+    -inf, the odd cell at the bottom and right."""
+    batch, h, w, c = x.shape
+    if padding == "same":
+        oh, ow = -(-h // stride), -(-w // stride)
+        pad_h, pad_w = max((oh - 1) * stride + window - h, 0), max((ow - 1) * stride + window - w, 0)
+    else:
+        oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
+        pad_h = pad_w = 0
+    xp = np.full((batch, h + pad_h, w + pad_w, c), -np.inf, dtype=x.dtype)
+    xp[:, pad_h // 2 : pad_h // 2 + h, pad_w // 2 : pad_w // 2 + w, :] = x
+    out = np.full((batch, oh, ow, c), -np.inf, dtype=x.dtype)
+    for i in range(window):
+        for j in range(window):
+            np.maximum(out, xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :], out=out)
+    return out
+
+
 def maxpool_backward_naive(dy, x, window, stride, padding):
     """Reference max-pool gradient: each window's upstream gradient goes to
     its row-major first maximum; padding cells never win. Cells sum in
@@ -147,7 +189,7 @@ def composed_forward(model, x, mode="test", rng=None):
         for _ in group:
             h = relu(conv2d_forward(h, next(convs)))
         last_group = gi == len(cfg.conv_groups) - 1
-        h = maxpool_forward(h, PoolSpec(2, 2, "none") if last_group else PoolSpec(5, 1, "same"))
+        h = maxpool_forward_naive(h, 2, 2, "none") if last_group else maxpool_forward_naive(h, 5, 1, "same")
     h = np.reshape(h, (n, -1), order="C")  # NHWC: channel fastest, then column, then row
     for fc in model.fcs[:-1]:
         h, _ = dropout_forward(relu(affine_forward(h, fc)), DropoutSpec(cfg.dropout_keep_hidden), mode, rng)
@@ -271,6 +313,9 @@ CHECKPOINT_META_FAULTS = {
     "string-dropout-keep": lambda meta: meta["config"].update(dropout_keep_hidden="abc"),
     "string-aug-side": lambda meta: meta["config"].update(aug_side="6"),
     "duplicate-tensor": lambda meta: meta["tensors"].append(meta["tensors"][0]),
+    # The directory is left alone, so only the shapes the config implies
+    # disagree with it; allocating them would need tens of GB.
+    "oversized-fc-size": lambda meta: meta["config"].update(fc_sizes=[1_000_000_000, 5]),
 }
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,7 +16,13 @@ from emocnn.checkpoint import (
 from emocnn.network import build_model
 from emocnn.tensor import Prng
 
-from support import CHECKPOINT_LAYOUT_FAULTS, CHECKPOINT_META_FAULTS, rewrite_checkpoint_meta, tiny_config
+from support import (
+    CHECKPOINT_LAYOUT_FAULTS,
+    CHECKPOINT_META_FAULTS,
+    rewrite_checkpoint_meta,
+    tiny_config,
+    traced_peak,
+)
 
 
 def _small_model(seed=0):
@@ -199,6 +203,18 @@ def test_layout_is_checked_before_allocation(tmp_path, monkeypatch, case):
     assert allocations == []
 
 
+def test_config_shapes_are_checked_before_allocation(tmp_path, monkeypatch):
+    # The directory is intact; only the config implies a 1e9-row fc1.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(15), path)
+    rewrite_checkpoint_meta(path, CHECKPOINT_META_FAULTS["oversized-fc-size"])
+    allocations = []
+    monkeypatch.setattr(checkpoint, "allocate_model", lambda *a, **k: allocations.append(a))
+    with pytest.raises(CheckpointShapeError, match="fc1.W"):
+        load_checkpoint(path)
+    assert allocations == []
+
+
 def test_load_peak_memory_is_about_the_file_size(tmp_path):
     # The parameters alone: the data section is read straight into them,
     # never held as a bytes object or a copy of one.
@@ -207,10 +223,5 @@ def test_load_peak_memory_is_about_the_file_size(tmp_path):
     save_checkpoint(build_model(config, Prng(14), dtype=np.float32), path)
     size = path.stat().st_size
     assert size > 4_000_000
-    tracemalloc.start()
-    try:
-        load_checkpoint(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(load_checkpoint, path)
     assert peak <= 1.1 * size, f"peak {peak / size:.2f}x the file size"

@@ -29,6 +29,7 @@ from support import (
     conv2d_naive,
     distinct_values,
     maxpool_backward_naive,
+    maxpool_forward_naive,
     numeric_gradient,
     rel_error,
 )
@@ -315,6 +316,29 @@ def test_maxpool_backward_window_wider_than_11_matches_loop():
     x = rng.integers(0, 3, size=(1, 13, 14, 2)).astype(np.float64)
     dy = rng.random(maxpool_forward(x, spec).shape)
     npt.assert_array_equal(maxpool_backward(dy, x, spec), maxpool_backward_naive(dy, x, 12, 5, "same"))
+
+
+@st.composite
+def pool_forward_cases(draw):
+    window, stride = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    padding = draw(st.sampled_from(("none", "same")))
+    low = window if padding == "none" else 1
+    shape = (draw(st.integers(1, 2)), draw(st.integers(low, 9)), draw(st.integers(low, 9)), draw(st.integers(1, 3)))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    # Few values, so windows tie; the infinities and NaN must pool as in a
+    # running maximum.
+    values = (-1.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan)
+    return PoolSpec(window, stride, padding), draw(hnp.arrays(dtype, shape, elements=st.sampled_from(values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_forward_cases())
+def test_maxpool_forward_matches_running_maximum_bit_for_bit(case):
+    spec, x = case
+    out = maxpool_forward(x, spec)
+    expected = maxpool_forward_naive(x, spec.window, spec.stride, spec.padding)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("spec", POOL_SPECS)

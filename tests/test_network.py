@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from emocnn import network
 from emocnn.labels import EmotionLabel
 from emocnn.network import (
     CONV_GROUPS,
@@ -24,7 +25,18 @@ from support import (
     randomized_tiny_model,
     rel_error,
     tiny_config,
+    traced_peak,
 )
+
+
+@pytest.fixture(scope="module")
+def served_b():
+    """Variant B drawn wide enough that labels are not near-ties, as served."""
+    return build_model(NetworkConfig.for_variant("B", init_std=0.05), Prng(30))
+
+
+def _codes(n, seed):
+    return np.random.default_rng(seed).integers(0, 256, size=(n, 144), dtype=np.uint8)
 
 
 def test_augmentation_size_five_layers():
@@ -245,3 +257,57 @@ def test_all_variants_build_and_group_plans_match():
         assert len(model.convs) == sum(len(g) for g in groups)
         assert model.fcs[0].W.shape == (1024, 9216)
         assert model.fcs[-1].W.shape == (5, 1024)
+
+
+def test_walk_without_tape_gives_the_same_logits(served_b):
+    x = network.scale_codes(_codes(4, 31), np.float32)
+    recorded, tape = network._run_forward(served_b, x, "test", None)
+    bare, no_tape = network._run_forward(served_b, x, "test", None, record=False)
+    assert tape and no_tape == []
+    assert recorded.tobytes() == bare.tobytes()
+    model = randomized_tiny_model(
+        32, conv_groups=((3,), (4, 2)), aug_side=16, input_len=7, fc_sizes=(16, 5),
+        dropout_keep_input=0.8, dropout_keep_hidden=0.7,
+    )
+    x = Prng(33).uniform(4 * 7).reshape(4, 7)
+    recorded, _ = network._run_forward(model, x, "train", Prng(34))
+    bare, _ = network._run_forward(model, x, "train", Prng(34), record=False)
+    assert recorded.tobytes() == bare.tobytes()
+
+
+def test_only_loss_and_grads_records_a_tape(monkeypatch):
+    walk, records = network._run_forward, []
+
+    def spy(*args, **kwargs):
+        records.append(kwargs.get("record", True))
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_run_forward", spy)
+    model = randomized_tiny_model(38, dtype=np.float32)
+    codes = np.random.default_rng(39).integers(0, 256, size=(3, 5))
+    forward(model, network.scale_codes(codes, np.float32))
+    predict(model, codes[0])
+    predict_batch(model, codes)
+    loss_and_grads(model, network.scale_codes(codes, np.float32), np.array([0, 1, 2]), rng=Prng(40))
+    assert records == [False, False, False, True]
+
+
+def test_predict_batch_labels_do_not_depend_on_the_chunk(served_b):
+    codes = _codes(70, 35)
+    labels = predict_batch(served_b, codes, batch_size=256)
+    for chunk in (1, 3, 32):
+        npt.assert_array_equal(predict_batch(served_b, codes, batch_size=chunk), labels)
+
+
+def test_predict_batch_peak_memory_at_the_default_chunk(served_b):
+    # About 90 MB at 32 rows: conv3's im2col and the layer outputs, no tape.
+    peak = traced_peak(predict_batch, served_b, _codes(64, 36))
+    assert peak <= 128e6, f"peak {peak / 1e6:.0f} MB"
+
+
+def test_build_model_holds_no_full_size_temporaries():
+    # The parameters, plus one float32 copy of the largest tensor at most.
+    config = NetworkConfig.for_variant("B")
+    param_bytes = sum(p.nbytes for _, p in allocate_model(config).named_parameters())
+    peak = traced_peak(build_model, config, Prng(37))
+    assert peak <= 2.5 * param_bytes, f"peak {peak / param_bytes:.2f}x the parameter bytes"

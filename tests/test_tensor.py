@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from emocnn.tensor import Prng, gaussian_init
+from emocnn.tensor import _NORMAL_BLOCK, Prng, gaussian_init
+
+from support import normal_one_shot
 
 
 def test_gaussian_init_zero_std_is_constant():
@@ -59,3 +61,24 @@ def test_prng_normal_moments():
 def test_prng_mask_keep_fraction():
     mask = Prng(8).mask((100_000,), 0.3)
     assert abs(mask.mean() - 0.3) < 0.01
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, _NORMAL_BLOCK - 1, _NORMAL_BLOCK, _NORMAL_BLOCK + 1, 2 * _NORMAL_BLOCK + 1]
+)
+def test_normal_blocks_equal_one_shot_box_muller(n):
+    # Each stream has drawn already, so block draws are taken from an offset.
+    blocked, one_shot = Prng(31), Prng(31)
+    blocked.raw(5)
+    one_shot.raw(5)
+    expected = normal_one_shot(one_shot, n)
+    got = blocked.normal(n)
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+    assert blocked._drawn == one_shot._drawn == 5 + 2 * ((n + 1) // 2)
+    for dtype in (np.float32, np.float64):
+        rng, ref = Prng(32), Prng(32)
+        rng.raw(7)
+        ref.raw(7)
+        t = gaussian_init((n,), 0.3, 0.05, rng, dtype=dtype)
+        assert t.dtype == dtype and t.tobytes() == (normal_one_shot(ref, n) * 0.05 + 0.3).astype(dtype).tobytes()
+        assert rng._drawn == ref._drawn
