@@ -24,6 +24,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_write
 from .labels import LABEL_NAMES
 from .network import Model, NetworkConfig, allocate_model, config_from_dict, config_to_dict, _parameter_shapes
 
@@ -139,7 +140,7 @@ def save_checkpoint(model: Model, path) -> None:
         "tensors": directory,
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
         for blob in blobs:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .atomic import atomic_write
 from .checkpoint import CheckpointConfigError, CheckpointError, load_checkpoint, save_checkpoint
 from .evaluation import (
     config_sweep_to_csv,
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="classify one dialogue string")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--text", required=True, help="the dialogue; write --text=<t> if it starts with '-'")
+    p.add_argument("--text", required=True, help="the dialogue; taken whole, even if it starts with '-'")
     p.add_argument("--stopwords")
     p.set_defaults(func=cmd_predict)
 
@@ -136,7 +137,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_preprocess(args) -> int:
     codes, _ = _load_encoded(args)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         for row in codes:
             fh.write(row.tobytes().hex() + "\n")
     print(f"encoded {len(codes)} dialogues -> {args.out}")
@@ -195,9 +196,22 @@ def cmd_sweep_params(args) -> int:
     return EXIT_OK
 
 
+def _glue_text(argv):
+    """Rewrite ``--text <t>`` as ``--text=<t>``, so the argument after
+    ``--text`` is always the dialogue, as the one after ``grep -e`` is
+    always the pattern, even when it starts with '-'."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--text":
+            token = next((f"--text={t}" for t in tokens), token)
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_text(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except NumericalFault as exc:

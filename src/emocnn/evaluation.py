@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import atomic_write
 from .labels import LABEL_NAMES, N_CLASSES
 from .network import NetworkConfig, build_model, predict_batch
 from .tensor import Prng
@@ -70,7 +71,7 @@ def evaluate(model, dataset, batch_size: int = 32) -> EvalReport:
 def report_to_csv(report: EvalReport, path) -> None:
     """Rows of ``class,examples,top1`` plus a final overall row."""
     row_sums = report.confusion.sum(axis=1)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("class,examples,top1\n")
         for i, name in enumerate(LABEL_NAMES):
             if name in report.per_class_top1:
@@ -130,14 +131,14 @@ def sweep_params(dataset, grid, budget: TrainConfig, variant: str = "B") -> list
 
 
 def config_sweep_to_csv(rows: list[ConfigSweepRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("variant,val_top1,seconds\n")
         for r in rows:
             fh.write(f"{r.variant},{r.val_top1!r},{r.seconds!r}\n")
 
 
 def param_sweep_to_csv(rows: list[ParamSweepRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("learning_rate,l2_strength,val_top1\n")
         for r in rows:
             fh.write(f"{r.learning_rate!r},{r.l2_strength!r},{r.val_top1!r}\n")
@@ -145,7 +146,7 @@ def param_sweep_to_csv(rows: list[ParamSweepRow], path) -> None:
 
 def export_curve(log: TrainLog, path) -> None:
     """Loss-per-step then validation-per-epoch sections, as plain CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("step,loss\n")
         for step, loss in log.steps:
             fh.write(f"{step},{loss!r}\n")

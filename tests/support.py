@@ -18,7 +18,7 @@ from emocnn.layers import (
     relu,
     softmax_cross_entropy,
 )
-from emocnn.text import SEQUENCE_LENGTH
+from emocnn.text import SEQUENCE_LENGTH, alphabet_ordinal, remap
 
 
 def rel_error(a, b) -> float:
@@ -329,3 +329,21 @@ def remove_stop_words_naive(text, stops):
             return text
         i, minus_len = min(hits)
         text = text[:i] + text[i - minus_len :]
+
+
+def normalize_width_naive(text):
+    """Reference width normalization: each half-width ASCII letter or digit
+    moves up by the fixed offset to its full-width form."""
+    return "".join(chr(ord(ch) + 0xFEE0) if ch.isascii() and ch.isalnum() else ch for ch in text)
+
+
+def encode_dialogue_naive(text, stops=()):
+    """Reference encoder, one character at a time: width normalization,
+    ``remove_stop_words_naive``, then the alphabet ordinal and remap of
+    each member, the first 144 of them, zero-padded."""
+    codes = []
+    for ch in remove_stop_words_naive(normalize_width_naive(text), stops):
+        ordinal = alphabet_ordinal(ch)
+        if ordinal is not None and len(codes) < SEQUENCE_LENGTH:
+            codes.append(remap(ordinal))
+    return np.array(codes + [0] * (SEQUENCE_LENGTH - len(codes)), dtype=np.uint8)

@@ -240,6 +240,7 @@ def test_c07_adam_oracle():
 
 # ------------------------------------------------------------------ 8
 
+@pytest.mark.slow
 def test_c08_full_training_determinism(tmp_path):
     dataset = make_marker_dataset(256, seed=808)
     config = TrainConfig(epochs=2, batches_per_epoch=32, learning_rate=1e-4, seed=11, eval_fraction=0.2)
@@ -259,6 +260,7 @@ def test_c08_full_training_determinism(tmp_path):
 
 # ------------------------------------------------------------------ 9
 
+@pytest.mark.slow
 def test_c09_learning_capability():
     started = time.perf_counter()
     codes, labels = make_marker_dataset(64, seed=100)

@@ -12,6 +12,7 @@ from emocnn.text import encode_dialogue, load_dataset
 from support import (
     CHECKPOINT_LAYOUT_FAULTS,
     CHECKPOINT_META_FAULTS,
+    randomized_tiny_model,
     rewrite_checkpoint_meta,
     tiny_config,
     write_marker_tsv,
@@ -81,6 +82,38 @@ def test_predict_output_format(tmp_path, data_tsv, capsys):
     probs = [float(f) for f in fields[1:]]
     assert len(probs) == 5
     assert abs(sum(probs) - 1.0) < 1e-4
+
+
+@pytest.fixture()
+def tiny_ckpt(tmp_path):
+    """A small model that takes the 144-byte encoding."""
+    ckpt = tmp_path / "tiny.ckpt"
+    save_checkpoint(randomized_tiny_model(3, dtype=np.float32, input_len=144), ckpt)
+    return str(ckpt)
+
+
+@pytest.mark.parametrize("text", ["-x", "-- 好", "--text", "-"])
+def test_predict_text_after_text_flag_is_the_dialogue(tiny_ckpt, capsys, text):
+    assert main(["predict", "--ckpt", tiny_ckpt, f"--text={text}"]) == EXIT_OK
+    want = capsys.readouterr().out
+    assert main(["predict", "--ckpt", tiny_ckpt, "--text", text]) == EXIT_OK
+    assert capsys.readouterr().out == want
+    assert main(["predict", "--text", text, "--ckpt", tiny_ckpt]) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
+def test_predict_text_flag_without_value_exits_1(tiny_ckpt):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--ckpt", tiny_ckpt, "--text"])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_predict_with_lone_surrogate_in_text(tiny_ckpt, capsys):
+    # argv carries undecodable bytes as lone surrogates; they are dropped
+    assert main(["predict", "--ckpt", tiny_ckpt, "--text=丁"]) == EXIT_OK
+    want = capsys.readouterr().out
+    assert main(["predict", "--ckpt", tiny_ckpt, "--text=\udcff丁"]) == EXIT_OK
+    assert capsys.readouterr().out == want
 
 
 def test_usage_errors_exit_1(tmp_path):

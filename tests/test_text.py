@@ -25,7 +25,7 @@ from emocnn.text import (
     RawDialogue,
 )
 
-from support import remove_stop_words_naive
+from support import encode_dialogue_naive, remove_stop_words_naive, traced_peak
 
 
 def test_normalize_width_letters_and_digits():
@@ -58,6 +58,12 @@ def test_remove_stop_words_total_removal():
 
 def test_remove_stop_words_prefers_longest_at_position():
     assert remove_stop_words("abcx", ("ab", "abc")) == "x"
+
+
+def test_remove_stop_words_falls_back_to_a_shorter_word():
+    # the longer word shares its first two characters with the text but
+    # fails on the third, so the one-character word matches there
+    assert remove_stop_words("一丁!", ("一丁丂", "一")) == "丁!"
 
 
 def test_remove_stop_words_handles_joins_after_deletion():
@@ -282,3 +288,81 @@ def test_encode_dataset_builds_the_stop_index_once(monkeypatch):
     rows = [RawDialogue(t, EmotionLabel.POSITIVE) for t in ("丁丂", "丂丁丁", "一")]
     encode_dataset(rows, ("丁", "丂丁"))
     assert len(calls) == 1
+
+
+# The join-heavy characters above, plus characters on each side of every
+# bound the encoder tests: the alphabet ranges, the half-width letters and
+# digits, the 7-bit and 16-bit limits, astral characters and lone surrogates
+# (argv carries undecodable bytes as those).
+_EDGE_CODE_POINTS = [
+    *(b + d for lo, hi in ALPHABET_RANGES for b in (lo, hi) for d in (-1, 0, 1)),
+    *(b + d for b in (0x30, 0x39, 0x41, 0x5A, 0x61, 0x7A) for d in (-1, 0, 1)),
+    0x7F, 0x80, 0xFFFF, 0x10000, 0x1F600, 0x10FFFF, 0xD800, 0xDBFF, 0xDC00, 0xDCFF, 0xDFFF,
+]
+_ENCODER_CHARS = sorted(set(_CHARS) | {chr(cp) for cp in _EDGE_CODE_POINTS})
+_encoder_texts = st.lists(st.sampled_from(_ENCODER_CHARS), max_size=160).map("".join)
+_encoder_words = st.lists(st.sampled_from(_ENCODER_CHARS), min_size=1, max_size=3).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(_encoder_texts, max_size=6), stops=st.lists(_encoder_words, max_size=5))
+def test_encode_dataset_rows_equal_naive_encoder(texts, stops):
+    codes, _ = encode_dataset([RawDialogue(t, EmotionLabel.NEUTRAL) for t in texts], stops)
+    assert codes.shape == (len(texts), SEQUENCE_LENGTH) and codes.dtype == np.uint8
+    for row, t in zip(codes, texts):
+        npt.assert_array_equal(row, encode_dialogue_naive(t, stops))
+
+
+def test_stop_word_does_not_match_across_rows():
+    rows = [RawDialogue(t, EmotionLabel.NEUTRAL) for t in ("一丁", "丂一")]
+    codes, _ = encode_dataset(rows, ("丁丂",))
+    npt.assert_array_equal(codes[:, :3], [[0, 1, 0], [2, 0, 0]])
+
+
+def test_encode_dataset_empty():
+    codes, labels = encode_dataset([], ("丁",))
+    assert codes.shape == (0, SEQUENCE_LENGTH) and codes.dtype == np.uint8
+    assert labels.shape == (0,) and labels.dtype == np.int64
+
+
+def test_encode_dataset_row_without_alphabet_characters():
+    rows = [RawDialogue(t, EmotionLabel.NEUTRAL) for t in ("丁", "!? \U0001F600\udcff", "丂")]
+    codes, _ = encode_dataset(rows, ("!",))
+    assert not codes[1].any()
+    assert codes[0, 0] == 1 and codes[2, 0] == 2
+
+
+def test_encode_dataset_keeps_the_first_144_of_more_survivors():
+    # 300 members, each followed by a non-member and a stop word
+    text = "".join(chr(0x4E00 + i) + "!ａ" for i in range(300))
+    rows = [RawDialogue(t, EmotionLabel.NEUTRAL) for t in (text, "丁")]
+    codes, _ = encode_dataset(rows, ("ａ",))
+    npt.assert_array_equal(codes[0], [i % 256 for i in range(SEQUENCE_LENGTH)])
+    npt.assert_array_equal(codes[0], encode_dialogue_naive(text, ("ａ",)))
+    assert codes[1, 0] == 1 and not codes[1, 1:].any()
+
+
+def test_encode_dataset_spans_several_chunks():
+    rng = random.Random(1)
+    texts = ["".join(rng.choice(_CHARS) for _ in range(rng.randrange(0, 8))) for _ in range(2 * text_module._CHUNK + 3)]
+    stops = ("丁丂", "a")
+    codes, _ = encode_dataset([RawDialogue(t, EmotionLabel.NEUTRAL) for t in texts], stops)
+    for row, t in zip(codes, texts):
+        npt.assert_array_equal(row, encode_dialogue_naive(t, stops))
+
+
+def test_encode_dataset_memory_does_not_grow_with_the_dataset():
+    # The encoder's temporaries take tens of bytes a character; working a
+    # chunk of dialogues at a time keeps them to one chunk's worth.
+    rng = random.Random(2)
+    pool = "".join(chr(0x4E00 + rng.randrange(20902)) for _ in range(3100))
+    rows = [RawDialogue(pool[i % 3000 : i % 3000 + 100], EmotionLabel.NEUTRAL) for i in range(8 * text_module._CHUNK)]
+    for stops in ((), ("丁丂",)):
+        two_chunks = traced_peak(encode_dataset, rows[: 2 * text_module._CHUNK], stops)
+        assert traced_peak(encode_dataset, rows, stops) < 1.5 * two_chunks
+
+
+def test_encode_lone_surrogate_is_dropped():
+    npt.assert_array_equal(encode_dialogue("\udcff丁"), [1] + [0] * (SEQUENCE_LENGTH - 1))
+    npt.assert_array_equal(encode_dialogue("\udcff丁", ("\udcff",)), [1] + [0] * (SEQUENCE_LENGTH - 1))
+    assert normalize_width("\udcffa") == "\udcffａ"
