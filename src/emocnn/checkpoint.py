@@ -12,6 +12,11 @@ File layout, all integers little-endian:
                  and the tensors tile it with no gap, overlap or trailing
                  byte
 
+The directory is a function of the network config: every parameter in
+``Model.named_parameters()`` order, each tensor starting where the one
+before it ends. A file loads only if its directory equals, entry for entry,
+the one its config implies, and its data section is exactly as long.
+
 The JSON is serialized with sorted keys and fixed separators, so saving the
 same parameters always produces byte-identical files.
 """
@@ -81,73 +86,39 @@ def _network_config(path, fields) -> NetworkConfig:
         raise CheckpointConfigError(f"{path}: bad network config: {exc}") from None
 
 
-def _directory_entry(path, entry):
-    """(name, rank, dims, offset) of one tensor directory entry, type-checked."""
-    if not isinstance(entry, dict):
-        raise CheckpointShapeError(f"{path}: tensor directory entry is not an object: {entry!r}")
-    try:
-        name, rank, dims, offset = entry["name"], entry["rank"], entry["dims"], entry["offset"]
-    except KeyError as exc:
-        raise CheckpointShapeError(f"{path}: tensor directory entry lacks {exc}") from None
-    if not (isinstance(name, str) and _is_int(rank) and _is_int(offset)
-            and isinstance(dims, list) and all(_is_int(d) for d in dims)):
-        raise CheckpointShapeError(f"{path}: malformed tensor directory entry {entry!r}")
-    return name, rank, tuple(dims), offset
+def _dumps(value) -> str:
+    """Canonical JSON: sorted keys and fixed separators."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _tiled_entries(path, directory, data_len):
-    """(name, rank, dims) of each directory entry, type-checked. The
-    offsets must tile the data section exactly in directory order: each
-    tensor starts where the one before it ends, the first at 0, and the
-    last ends at end of file."""
-    entries = []
-    end = 0
-    for entry in directory:
-        name, rank, dims, offset = _directory_entry(path, entry)
-        if offset != end:
-            raise CheckpointShapeError(
-                f"{path}: tensor {name!r} at offset {offset}, expected {end} (a gap or an overlap)"
-            )
-        if any(d < 0 for d in dims):
-            raise CheckpointShapeError(f"{path}: tensor {name!r} has negative dims {dims}")
-        end += 4 * math.prod(dims)
-        entries.append((name, rank, dims))
-    if end > data_len:
-        raise CheckpointTruncatedError(f"{path}: tensor data is {data_len} bytes, directory needs {end}")
-    if end < data_len:
-        raise CheckpointShapeError(f"{path}: {data_len - end} bytes after the last tensor")
-    return entries
+def _directory(config: NetworkConfig) -> list[dict]:
+    """The tensor directory of a checkpoint of ``config``: one (name, rank,
+    dims, offset) entry per parameter in ``Model.named_parameters()`` order,
+    each tensor starting where the one before it ends. Allocates nothing."""
+    directory = []
+    offset = 0
+    for name, shape in _parameter_shapes(config):
+        directory.append({"name": name, "rank": len(shape), "dims": list(shape), "offset": offset})
+        offset += 4 * math.prod(shape)
+    return directory
 
 
 def save_checkpoint(model: Model, path) -> None:
     """Write the model's parameters as float32, bit-exactly recoverable."""
-    directory = []
-    blobs = []
-    offset = 0
-    for name, param in model.named_parameters():
-        data = np.ascontiguousarray(param, dtype="<f4").tobytes()
-        directory.append({
-            "name": name,
-            "rank": param.ndim,
-            "dims": list(param.shape),
-            "offset": offset,
-        })
-        blobs.append(data)
-        offset += len(data)
     meta = {
         "config": config_to_dict(model.config),
         "labels": list(LABEL_NAMES),
-        "tensors": directory,
+        "tensors": _directory(model.config),
     }
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    meta_bytes = _dumps(meta).encode("utf-8")
     with atomic_write(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
-        for blob in blobs:
-            fh.write(blob)
+        for _, param in model.named_parameters():
+            fh.write(np.ascontiguousarray(param, dtype="<f4"))
 
 
-def _read_metadata(path, fh, expect_variant):
+def _read_metadata(path, fh):
     """Read the header and metadata from ``fh``, leaving it at the start of
     the data section. Returns the validated config and the raw directory."""
     head = fh.read(_HEADER.size)
@@ -167,56 +138,42 @@ def _read_metadata(path, fh, expect_variant):
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: unreadable metadata: {exc}") from None
     config = _network_config(path, config)
-    if not isinstance(directory, list):
-        raise CheckpointShapeError(f"{path}: tensor directory is not a list")
     if not isinstance(labels, list) or tuple(labels) != LABEL_NAMES:
         raise CheckpointConfigError(f"{path}: label order {labels} does not match {list(LABEL_NAMES)}")
-    if expect_variant is not None and config.variant != expect_variant:
-        raise CheckpointConfigError(
-            f"{path}: checkpoint is variant {config.variant}, expected {expect_variant}"
-        )
     return config, directory
 
 
-def _checked_entries(path, config, entries):
-    """The directory checked against the parameter shapes the config
-    implies: every tensor listed once, with its shape, and none unknown.
-    Allocates nothing, so a config that implies huge tensors fails here."""
-    expected = dict(_parameter_shapes(config))
-    seen = set()
-    for name, rank, dims in entries:
-        if name not in expected:
-            raise CheckpointShapeError(f"{path}: unknown tensor {name!r}")
-        if name in seen:
-            raise CheckpointShapeError(f"{path}: tensor {name!r} listed twice")
-        if dims != expected[name] or rank != len(expected[name]):
+def _check_layout(path, directory, expected, data_len) -> None:
+    """The file's directory must be ``expected``, entry for entry, and its
+    tensors must fill the data section exactly. Entries are compared as
+    canonical JSON, so 72.0 does not pass for 72, nor true for 1."""
+    if not isinstance(directory, list) or len(directory) != len(expected):
+        raise CheckpointShapeError(f"{path}: the tensor directory is not a list of {len(expected)} entries")
+    for entry, want in zip(directory, expected):
+        if _dumps(entry) != _dumps(want):
             raise CheckpointShapeError(
-                f"{path}: tensor {name!r} has dims {dims}, model expects {expected[name]}"
+                f"{path}: tensor directory entry {_dumps(entry)}, the config implies {_dumps(want)}"
             )
-        seen.add(name)
-    missing = expected.keys() - seen
-    if missing:
-        raise CheckpointShapeError(f"{path}: missing tensors: {sorted(missing)}")
-    return [name for name, _, _ in entries]
+    end = sum(4 * math.prod(entry["dims"]) for entry in expected)
+    if end > data_len:
+        raise CheckpointTruncatedError(f"{path}: tensor data is {data_len} bytes, directory needs {end}")
+    if end < data_len:
+        raise CheckpointShapeError(f"{path}: {data_len - end} bytes after the last tensor")
 
 
-def load_checkpoint(path, expect_variant: str | None = None) -> Model:
+def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, validating version, config, and
-    every tensor's shape before any parameter is allocated. Parameters load
-    as float32, read from the file straight into the model; the data
-    section is never held a second time."""
+    the whole tensor directory before any parameter is allocated.
+    Parameters load as float32, read from the file straight into the model;
+    the data section is never held a second time."""
     with open(path, "rb") as fh:
-        config, directory = _read_metadata(path, fh, expect_variant)
-        entries = _tiled_entries(path, directory, os.fstat(fh.fileno()).st_size - fh.tell())
-        names = _checked_entries(path, config, entries)
-        # Little-endian float32 is the file's byte order, so each tensor's
-        # bytes can be read into its parameter as they are.
+        config, directory = _read_metadata(path, fh)
+        _check_layout(path, directory, _directory(config), os.fstat(fh.fileno()).st_size - fh.tell())
+        # Little-endian float32 is the file's byte order, and the tensors
+        # tile the data section in parameter order, so each one's bytes can
+        # be read into its parameter as they come.
         model = allocate_model(config, dtype="<f4")
-        params = model.parameters()
-        for name in names:
-            param = params[name]
-            # The entries tile the data section in order, so the file is at
-            # this tensor's offset.
+        for name, param in model.named_parameters():
             if fh.readinto(param) != param.nbytes:
                 raise CheckpointTruncatedError(f"{path}: tensor {name!r} data out of bounds")
     return model

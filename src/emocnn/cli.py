@@ -54,7 +54,7 @@ def _add_train_flags(p):
     p.add_argument("--variant", choices=VARIANTS, default="B")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=5e-6)
-    p.add_argument("--l2", type=float, default=1.5e-4)
+    p.add_argument("--l2", type=float, default=NetworkConfig.l2_strength)
     p.add_argument("--batches", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eval-fraction", type=float, default=0.2)
@@ -129,7 +129,6 @@ def _train_config(args) -> TrainConfig:
         epochs=args.epochs,
         batches_per_epoch=args.batches,
         learning_rate=args.lr,
-        l2_strength=args.l2,
         seed=args.seed,
         eval_fraction=args.eval_fraction,
     )
@@ -180,7 +179,7 @@ def cmd_predict(args) -> int:
 def cmd_sweep_config(args) -> int:
     codes, labels = _load_encoded(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    rows = sweep_configs((codes, labels), variants, _train_config(args))
+    rows = sweep_configs((codes, labels), variants, _train_config(args), args.l2)
     config_sweep_to_csv(rows, args.out)
     for r in rows:
         print(f"{r.variant}: val_top1={r.val_top1:.4f} seconds={r.seconds:.2f}")
@@ -196,22 +195,31 @@ def cmd_sweep_params(args) -> int:
     return EXIT_OK
 
 
-def _glue_text(argv):
-    """Rewrite ``--text <t>`` as ``--text=<t>``, so the argument after
-    ``--text`` is always the dialogue, as the one after ``grep -e`` is
-    always the pattern, even when it starts with '-'."""
-    out = []
+def _take_text(argv):
+    """(``argv`` with ``--text=`` in place of ``--text <t>`` or ``--text=<t>``,
+    or of a prefix such as ``--tex`` that argparse also takes, and ``t`` or
+    None). The argument after ``--text`` is always the dialogue, as the one
+    after ``grep -e`` is always the pattern, even when it starts with '-' or
+    is '--', which argparse would drop. argparse still sees the flag, so it
+    requires it where it belongs and rejects it elsewhere."""
+    out, text = [], None
     tokens = iter(argv)
     for token in tokens:
-        if token == "--text":
-            token = next((f"--text={t}" for t in tokens), token)
+        flag, eq, value = token.partition("=")
+        if len(flag) > 2 and "--text".startswith(flag):
+            text = value if eq else next(tokens, None)
+            if text is not None:
+                token = "--text="
         out.append(token)
-    return out
+    return out, text
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_glue_text(sys.argv[1:] if argv is None else argv))
+    argv, text = _take_text(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
+    if text is not None:
+        args.text = text
     try:
         return args.func(args)
     except NumericalFault as exc:

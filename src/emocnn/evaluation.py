@@ -55,7 +55,7 @@ def report_from_predictions(preds, truths) -> EvalReport:
     )
 
 
-def evaluate(model, dataset, batch_size: int = 32) -> EvalReport:
+def evaluate(model, dataset) -> EvalReport:
     """Top-1 accuracy report over (codes, labels).
 
     ``model`` is either a built Model or any callable mapping the code array
@@ -64,7 +64,7 @@ def evaluate(model, dataset, batch_size: int = 32) -> EvalReport:
     codes, truths = dataset
     if len(codes) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    preds = model(codes) if callable(model) else predict_batch(model, codes, batch_size)
+    preds = model(codes) if callable(model) else predict_batch(model, codes)
     return report_from_predictions(preds, truths)
 
 
@@ -104,12 +104,14 @@ def _train_and_score(config: NetworkConfig, dataset, budget: TrainConfig):
     return report.overall_top1, elapsed
 
 
-def sweep_configs(dataset, variants, budget: TrainConfig) -> list[ConfigSweepRow]:
-    """Train each variant under an identical seed and budget; report
-    held-out accuracy and wall time per variant."""
+def sweep_configs(
+    dataset, variants, budget: TrainConfig, l2_strength: float = NetworkConfig.l2_strength
+) -> list[ConfigSweepRow]:
+    """Train each variant under an identical seed, budget and L2 strength;
+    report held-out accuracy and wall time per variant."""
     rows = []
     for variant in variants:
-        config = NetworkConfig.for_variant(variant, l2_strength=budget.l2_strength)
+        config = NetworkConfig.for_variant(variant, l2_strength=l2_strength)
         top1, seconds = _train_and_score(config, dataset, budget)
         rows.append(ConfigSweepRow(variant=str(variant).upper(), val_top1=top1, seconds=seconds))
     return rows
@@ -124,8 +126,7 @@ def sweep_params(dataset, grid, budget: TrainConfig, variant: str = "B") -> list
     rows = []
     for lr, l2 in grid:
         config = NetworkConfig.for_variant(variant, l2_strength=l2)
-        cell_budget = replace(budget, learning_rate=lr, l2_strength=l2)
-        top1, _ = _train_and_score(config, dataset, cell_budget)
+        top1, _ = _train_and_score(config, dataset, replace(budget, learning_rate=lr))
         rows.append(ParamSweepRow(learning_rate=lr, l2_strength=l2, val_top1=top1))
     return rows
 

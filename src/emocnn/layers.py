@@ -171,21 +171,25 @@ def maxpool_forward(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     if x.ndim != 4:
         raise ValueError(f"pool input must be [B,H,W,C], got {x.shape}")
     _, h, w, _ = x.shape
-    win, stride = spec.window, spec.stride
     oh, ow, (top, left, bottom, right) = _pool_geometry(h, w, spec)
-    xp = _pad_neg_inf(x, top, left, bottom, right)
-    # Separable: the maxima along each row's windows, then down the columns
-    # of those, so 2 * win passes instead of win * win.
-    row_max = _running_max([xp[:, :, j : j + stride * ow : stride, :] for j in range(win)])
-    return _running_max([row_max[:, i : i + stride * oh : stride] for i in range(win)])
+    return _window_max(_pad_neg_inf(x, top, left, bottom, right), spec, oh, ow, np.maximum)
 
 
-def _running_max(views: list[np.ndarray]) -> np.ndarray:
-    """Elementwise maximum of equal-shape views, taken in list order into a
-    new array. np.maximum propagates NaN, so a NaN in any view wins."""
-    out = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
+def _window_max(xp: np.ndarray, spec: PoolSpec, oh: int, ow: int, ufunc) -> np.ndarray:
+    """The maximum of each pool window of the padded input ``xp``, as ``ufunc``
+    takes it. Separable: the maxima along each row's windows, then down the
+    columns of those, so 2 * win passes instead of win * win."""
+    win, stride = spec.window, spec.stride
+    row_max = _running_max([xp[:, :, j : j + stride * ow : stride, :] for j in range(win)], ufunc)
+    return _running_max([row_max[:, i : i + stride * oh : stride] for i in range(win)], ufunc)
+
+
+def _running_max(views: list[np.ndarray], ufunc) -> np.ndarray:
+    """``ufunc`` (np.maximum or np.fmax) folded over equal-shape views in
+    list order, into a new array."""
+    out = ufunc(views[0], views[1]) if len(views) > 1 else views[0].copy()
     for v in views[2:]:
-        np.maximum(out, v, out=out)
+        ufunc(out, v, out=out)
     return out
 
 
@@ -198,14 +202,9 @@ def maxpool_backward(dy: np.ndarray, x: np.ndarray, spec: PoolSpec) -> np.ndarra
     xp = _pad_neg_inf(x, top, left, bottom, right)
     hp, wp = xp.shape[1:3]
 
-    # Window maxima in two separable passes, rows then columns. fmax skips
-    # NaN, as the strict > of a running maximum does.
-    row_max = xp[:, :, 0 : stride * ow : stride, :].copy()
-    for j in range(1, win):
-        np.fmax(row_max, xp[:, :, j : j + stride * ow : stride, :], out=row_max)
-    best = row_max[:, 0 : stride * oh : stride].copy()
-    for i in range(1, win):
-        np.fmax(best, row_max[:, i : i + stride * oh : stride], out=best)
+    # The forward's np.maximum propagates NaN, so a NaN in any window wins
+    # there; fmax here skips NaN, as the strict > of a running maximum does.
+    best = _window_max(xp, spec, oh, ow, np.fmax)
 
     # First (row-major) winner: walk the offsets k = i*win + j downwards and
     # move idx to k wherever the window equals its maximum, branch-free.

@@ -174,6 +174,8 @@ def _validate_config(config: NetworkConfig) -> None:
         raise ValueError(f"the last fc layer has {config.fc_sizes[-1]} units, expected {N_CLASSES}")
     DropoutSpec(config.dropout_keep_input)  # raises unless keep is in (0, 1]
     DropoutSpec(config.dropout_keep_hidden)
+    if not config.l2_strength >= 0:
+        raise ValueError(f"l2_strength must be >= 0, got {config.l2_strength}")
     config.spatial_trace()  # raises on dimension underflow
     if config.variant is not None:
         if len(config.channel_plan) != 5:
@@ -307,12 +309,12 @@ def loss_and_grads(
     labels: np.ndarray,
     mode: str = "train",
     rng: Prng | None = None,
-    l2_strength: float | None = None,
 ):
     """Softmax cross-entropy plus L2 penalty, with gradients for every
-    parameter. The L2 term is l2 * sum(W^2) over weights and filters only;
-    its gradient contribution is 2 * l2 * W."""
-    l2 = model.config.l2_strength if l2_strength is None else l2_strength
+    parameter. The L2 term is l2 * sum(W^2) over weights and filters only,
+    with l2 the config's ``l2_strength``; its gradient contribution is
+    2 * l2 * W."""
+    l2 = model.config.l2_strength
     logits, tape = _run_forward(model, batch, mode, rng)
     loss, _, g = softmax_cross_entropy(logits, np.asarray(labels))
     grads: dict[str, np.ndarray] = {}

@@ -27,7 +27,6 @@ class TrainConfig:
     epochs: int = 100
     batches_per_epoch: int = 32
     learning_rate: float = 5e-6
-    l2_strength: float = 1.5e-4
     seed: int = 0
     eval_fraction: float = 0.2
 
@@ -36,31 +35,29 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batches_per_epoch < 1:
             raise ValueError(f"batches_per_epoch must be >= 1, got {self.batches_per_epoch}")
-        if self.learning_rate < 0 or self.l2_strength < 0:
-            raise ValueError("learning_rate and l2_strength must be >= 0")
+        if self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators aligned with the parameter dict."""
+    """First/second moment accumulators aligned with the parameter dict.
+    The betas and epsilon are the module's ADAM_* constants."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     learning_rate: float
     t: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon: float = ADAM_EPSILON
+    epsilon = ADAM_EPSILON
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], learning_rate: float, **kwargs) -> "AdamState":
+    def for_params(cls, params: dict[str, np.ndarray], learning_rate: float) -> "AdamState":
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
             learning_rate=learning_rate,
-            **kwargs,
         )
 
 
@@ -78,16 +75,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         if not np.isfinite(g).all():
             raise NumericalFault(f"non-finite gradient in {name}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     alpha = state.learning_rate * np.sqrt(bc2) / bc1
-    denom_eps = state.epsilon * np.sqrt(bc2)
+    denom_eps = ADAM_EPSILON * np.sqrt(bc2)
     for name, g in grads.items():
         m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
         update = np.sqrt(v)
         update += denom_eps
         np.divide(m, update, out=update)
@@ -137,8 +134,9 @@ def train(model: Model, dataset, config: TrainConfig):
     """Run epochs x batches_per_epoch Adam steps over the training split.
 
     ``dataset`` is (codes [N,144] byte values, labels [N]); inputs are scaled
-    to [0,1] here. Validation top-1 on the held-out split is logged after
-    every epoch. Fully deterministic under config.seed.
+    to [0,1] here. The L2 strength is the model config's. Validation top-1
+    on the held-out split is logged after every epoch. Fully deterministic
+    under config.seed.
     """
     codes, labels = dataset
     codes = np.asarray(codes)
@@ -163,9 +161,7 @@ def train(model: Model, dataset, config: TrainConfig):
         for batch in make_batches(len(train_idx), config.batches_per_epoch, rng):
             idx = train_idx[batch]
             step += 1
-            loss, grads = loss_and_grads(
-                model, x[idx], y[idx], mode="train", rng=rng, l2_strength=config.l2_strength
-            )
+            loss, grads = loss_and_grads(model, x[idx], y[idx], mode="train", rng=rng)
             if not np.isfinite(loss):
                 raise NumericalFault(f"non-finite loss at step {step}")
             adam_step(params, grads, state)

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -90,14 +93,6 @@ def test_version_mismatch(tmp_path):
         load_checkpoint(path)
 
 
-def test_variant_mismatch(tmp_path):
-    model = _small_model(5)  # custom config, variant None
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(model, path)
-    with pytest.raises(CheckpointConfigError, match="variant"):
-        load_checkpoint(path, expect_variant="B")
-
-
 def test_shape_mismatch(tmp_path):
     model = _small_model(6)
     path = tmp_path / "m.ckpt"
@@ -188,14 +183,30 @@ def test_offsets_must_tile_the_data_section(tmp_path, case):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("case", ["truncated", *sorted(CHECKPOINT_LAYOUT_FAULTS)])
+def _malform_first_entry(malform):
+    def edit(meta):
+        meta["tensors"][0] = malform(meta["tensors"][0])
+
+    return edit
+
+
+# (metadata edit, data edit) pairs of faults the loader finds in the
+# directory, before it allocates anything.
+DIRECTORY_FAULTS = {
+    **CHECKPOINT_LAYOUT_FAULTS,
+    "duplicate-tensor": (CHECKPOINT_META_FAULTS["duplicate-tensor"],),
+    **{f"malformed-{case}": (_malform_first_entry(f),) for case, f in MALFORMED_ENTRIES.items()},
+}
+
+
+@pytest.mark.parametrize("case", ["truncated", *sorted(DIRECTORY_FAULTS)])
 def test_layout_is_checked_before_allocation(tmp_path, monkeypatch, case):
     path = tmp_path / "m.ckpt"
     save_checkpoint(_small_model(13), path)
     if case == "truncated":
         path.write_bytes(path.read_bytes()[:-4])
     else:
-        rewrite_checkpoint_meta(path, *CHECKPOINT_LAYOUT_FAULTS[case])
+        rewrite_checkpoint_meta(path, *DIRECTORY_FAULTS[case])
     allocations = []
     monkeypatch.setattr(checkpoint, "allocate_model", lambda *a, **k: allocations.append(a))
     with pytest.raises((CheckpointShapeError, CheckpointTruncatedError)):
@@ -225,3 +236,64 @@ def test_load_peak_memory_is_about_the_file_size(tmp_path):
     assert size > 4_000_000
     peak = traced_peak(load_checkpoint, path)
     assert peak <= 1.1 * size, f"peak {peak / size:.2f}x the file size"
+
+
+def test_permuted_directory_does_not_load(tmp_path):
+    # Two tensors swapped in the directory, their offsets re-tiled and their
+    # data moved to match: a consistent file, but not the directory the
+    # config implies, which save_checkpoint never writes.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(16), path)
+
+    def swap(meta):
+        w, b = meta["tensors"][:2]
+        meta["tensors"][:2] = [{**b, "offset": 0}, {**w, "offset": 4 * math.prod(b["dims"])}]
+
+    def move(meta, data):
+        n_b, n_w = meta["tensors"][1]["offset"], 4 * math.prod(meta["tensors"][1]["dims"])
+        return data[n_w : n_w + n_b] + data[:n_w] + data[n_w + n_b :]
+
+    rewrite_checkpoint_meta(path, swap, move)
+    with pytest.raises(CheckpointShapeError, match="augmentation.b"):
+        load_checkpoint(path)
+
+
+def test_every_prefix_and_any_suffix_is_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(17), path)
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+    for extra in (b"\0", bytes(4), b"EMON"):
+        path.write_bytes(blob + extra)
+        with pytest.raises(CheckpointShapeError):
+            load_checkpoint(path)
+
+
+def test_tiny_config_metadata_is_format_v1(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(18), path)
+    blob = path.read_bytes()
+    magic, version, meta_len = struct.unpack_from("<4sHI", blob)
+    assert (magic, version) == (MAGIC, 1)
+    assert blob[10 : 10 + meta_len].decode("utf-8") == TINY_CONFIG_METADATA
+    assert len(blob) == 10 + meta_len + 4 * 626
+
+
+TINY_CONFIG_METADATA = (
+    '{"config":{"aug_channels":2,"aug_side":6,"conv_groups":[[3]],"dropout_keep_hidden":0.3,'
+    '"dropout_keep_input":1.0,"fc_sizes":[4,5],"init_mean":0.0,"init_std":0.01,"input_len":5,'
+    '"l2_strength":0.001,"variant":null},'
+    '"labels":["positive","negative","wondering","neutral","meaningless"],'
+    '"tensors":['
+    '{"dims":[72,5],"name":"augmentation.W","offset":0,"rank":2},'
+    '{"dims":[72],"name":"augmentation.b","offset":1440,"rank":1},'
+    '{"dims":[3,5,5,2],"name":"conv1.filters","offset":1728,"rank":4},'
+    '{"dims":[3],"name":"conv1.bias","offset":2328,"rank":1},'
+    '{"dims":[4,3],"name":"fc1.W","offset":2340,"rank":2},'
+    '{"dims":[4],"name":"fc1.b","offset":2388,"rank":1},'
+    '{"dims":[5,4],"name":"fc2.W","offset":2404,"rank":2},'
+    '{"dims":[5],"name":"fc2.b","offset":2484,"rank":1}]}'
+)

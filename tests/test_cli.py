@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from emocnn.checkpoint import save_checkpoint
+from emocnn.checkpoint import load_checkpoint, save_checkpoint
 from emocnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from emocnn.network import build_model
+from emocnn.network import build_model, predict
 from emocnn.tensor import Prng
 from emocnn.text import encode_dialogue, load_dataset
 
@@ -100,6 +100,13 @@ def test_predict_text_after_text_flag_is_the_dialogue(tiny_ckpt, capsys, text):
     assert capsys.readouterr().out == want
     assert main(["predict", "--text", text, "--ckpt", tiny_ckpt]) == EXIT_OK
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("argv", [["--text=--"], ["--text", "--"], ["--tex=--"], ["--te", "--"]])
+def test_predict_text_double_dash_is_the_dialogue(tiny_ckpt, capsys, argv):
+    label, probs = predict(load_checkpoint(tiny_ckpt), encode_dialogue("--"))
+    assert main(["predict", "--ckpt", tiny_ckpt, *argv]) == EXIT_OK
+    assert capsys.readouterr().out == label.name.lower() + " " + " ".join(f"{p:.6f}" for p in probs) + "\n"
 
 
 def test_predict_text_flag_without_value_exits_1(tiny_ckpt):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -132,6 +134,12 @@ def test_forward_zero_input_is_finite():
     assert np.isfinite(logits).all()
 
 
+@pytest.mark.parametrize("l2", [-1e-4, float("nan")])
+def test_negative_or_nan_l2_strength_rejected(l2):
+    with pytest.raises(ValueError, match="l2_strength"):
+        build_model(tiny_config(l2_strength=l2), Prng(0))
+
+
 def test_forward_rejects_wrong_width():
     model = build_model(tiny_config(), Prng(5))
     with pytest.raises(ValueError):
@@ -148,6 +156,11 @@ def test_train_mode_consumes_rng_only_for_dropout():
     assert not np.array_equal(same_seed_a, other_seed)
 
 
+def _with_l2(model, l2):
+    """The model's parameters under its config with L2 strength ``l2``."""
+    return dataclasses.replace(model, config=dataclasses.replace(model.config, l2_strength=l2))
+
+
 def test_loss_without_l2_is_bare_cross_entropy():
     model = randomized_tiny_model(10)
     x = Prng(11).uniform(4 * 5).reshape(4, 5)
@@ -155,7 +168,7 @@ def test_loss_without_l2_is_bare_cross_entropy():
     from emocnn.layers import softmax_cross_entropy
 
     bare, _, _ = softmax_cross_entropy(forward(model, x), y)
-    loss, _ = loss_and_grads(model, x, y, mode="test", l2_strength=0.0)
+    loss, _ = loss_and_grads(_with_l2(model, 0.0), x, y, mode="test")
     assert abs(loss - bare) < 1e-12
 
 
@@ -163,8 +176,8 @@ def test_zero_weights_have_zero_regularization():
     model = allocate_model(tiny_config(), dtype=np.float64)
     x = Prng(12).uniform(2 * 5).reshape(2, 5)
     y = np.array([0, 1])
-    with_l2, _ = loss_and_grads(model, x, y, mode="test", l2_strength=10.0)
-    without, _ = loss_and_grads(model, x, y, mode="test", l2_strength=0.0)
+    with_l2, _ = loss_and_grads(_with_l2(model, 10.0), x, y, mode="test")
+    without, _ = loss_and_grads(_with_l2(model, 0.0), x, y, mode="test")
     assert with_l2 == without
 
 
@@ -172,7 +185,7 @@ def test_l2_component_monotone_in_strength():
     model = randomized_tiny_model(13)
     x = Prng(14).uniform(2 * 5).reshape(2, 5)
     y = np.array([0, 1])
-    losses = [loss_and_grads(model, x, y, mode="test", l2_strength=l2)[0] for l2 in (0.0, 1e-4, 1e-2, 1.0)]
+    losses = [loss_and_grads(_with_l2(model, l2), x, y, mode="test")[0] for l2 in (0.0, 1e-4, 1e-2, 1.0)]
     assert all(b >= a for a, b in zip(losses, losses[1:]))
 
 
@@ -180,8 +193,8 @@ def test_l2_gradient_term():
     model = randomized_tiny_model(15)
     x = Prng(16).uniform(2 * 5).reshape(2, 5)
     y = np.array([0, 1])
-    _, g0 = loss_and_grads(model, x, y, mode="test", l2_strength=0.0)
-    _, g1 = loss_and_grads(model, x, y, mode="test", l2_strength=0.5)
+    _, g0 = loss_and_grads(_with_l2(model, 0.0), x, y, mode="test")
+    _, g1 = loss_and_grads(_with_l2(model, 0.5), x, y, mode="test")
     params = model.parameters()
     for name in model.weight_names():
         npt.assert_allclose(g1[name], g0[name] + params[name], rtol=1e-12, atol=1e-12)

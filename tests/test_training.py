@@ -17,9 +17,9 @@ from emocnn.training import (
 from support import make_marker_dataset, randomized_tiny_model, tiny_config
 
 
-def _scalar_state(lr, **kwargs):
+def _scalar_state(lr):
     params = {"w": np.array([1.0])}
-    return params, AdamState.for_params(params, learning_rate=lr, **kwargs)
+    return params, AdamState.for_params(params, learning_rate=lr)
 
 
 def test_adam_first_step_hand_derived():
