@@ -135,7 +135,7 @@ def _read_metadata(path, fh):
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
         config, labels, directory = meta["config"], meta["labels"], meta["tensors"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable metadata: {exc}") from None
     config = _network_config(path, config)
     if not isinstance(labels, list) or tuple(labels) != LABEL_NAMES:

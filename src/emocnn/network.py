@@ -5,10 +5,17 @@ The input is a 144-byte dialogue encoding. An affine layer expands it to a
 12x12x256 with size-preserving overlapping pools between groups, a final
 2x2/stride-2 pool halves it to 6x6x256 = 9216, and three fully connected
 layers with dropout produce the 5 class logits.
+
+``NetworkConfig.layer_plan()`` names each layer once (``augmentation``,
+``conv1``, ``pool1``, ..., ``fc1``, ...). Parameters, checkpoint tensors and
+gradients are named ``<layer>.<field>`` after the ``AffineParams`` (``W``,
+``b``) or ``ConvParams`` (``filters``, ``bias``) field, in plan order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import itertools
+import math
+from dataclasses import dataclass, asdict, fields
 from functools import partial
 from operator import methodcaller
 from typing import Optional
@@ -51,6 +58,9 @@ POOL_SAME = PoolSpec(window=5, stride=1, padding="same")
 POOL_REDUCE = PoolSpec(window=2, stride=2, padding="none")
 FLATTEN_WIDTH = 9216  # 6 * 6 * 256, the FC head's input width
 
+# Parameters of each weighted layer kind: an L2-penalized weight, then a bias.
+_PARAMS = {"augmentation": AffineParams, "conv": ConvParams, "fc": AffineParams}
+
 
 def compute_augmentation_size(s_output: int, n_layers: int, s_filter: int, stride: int) -> int:
     """Square side the augmentation layer must produce so that ``n_layers``
@@ -88,34 +98,32 @@ class NetworkConfig:
         return tuple(ch for group in self.conv_groups for ch in group)
 
     @property
-    def augmentation_out(self) -> int:
-        return self.aug_side * self.aug_side * self.aug_channels
-
-    @property
     def n_weighted_layers(self) -> int:
         return 1 + len(self.channel_plan) + len(self.fc_sizes)
 
-    def layer_plan(self) -> list[tuple[str, object]]:
-        """The layers after the augmentation grid, in forward order:
-        ("conv", channels) for a conv with its ReLU, ("pool", PoolSpec) after
-        each conv group, and ("fc", units) for the head. Every fc but the
-        last is followed by ReLU and dropout."""
-        plan = []
-        for gi, group in enumerate(self.conv_groups):
-            plan += [("conv", channels) for channels in group]
-            plan.append(("pool", POOL_REDUCE if gi == len(self.conv_groups) - 1 else POOL_SAME))
-        return plan + [("fc", units) for units in self.fc_sizes]
+    def layer_plan(self) -> list[tuple[str, str, object]]:
+        """Every layer after the input dropout, in forward order, as (name,
+        kind, arg): the augmentation affine (arg: its output grid, side,
+        side, channels), each conv with its ReLU (channels), a pool after
+        each conv group (PoolSpec) and the fc head (units), where every fc
+        but the last is followed by ReLU and dropout."""
+        plan = [("augmentation", "augmentation", (self.aug_side, self.aug_side, self.aug_channels))]
+        convs = itertools.count(1)
+        for gi, group in enumerate(self.conv_groups, start=1):
+            plan += [(f"conv{next(convs)}", "conv", channels) for channels in group]
+            plan.append((f"pool{gi}", "pool", POOL_REDUCE if gi == len(self.conv_groups) else POOL_SAME))
+        return plan + [(f"fc{i}", "fc", units) for i, units in enumerate(self.fc_sizes, start=1)]
 
     def spatial_trace(self) -> list[int]:
         """Spatial side after the augmentation reshape and after every
         conv and pool, in order. Raises if any layer underflows."""
         trace = [self.aug_side]
-        for kind, arg in self.layer_plan():
+        for name, kind, arg in self.layer_plan():
             side = trace[-1]
             if kind == "conv":
                 if side < layers.FILTER_SIZE:
                     raise ValueError(
-                        f"layer {len(trace)}: conv input side {side} smaller than "
+                        f"{name}: conv input side {side} smaller than "
                         f"{layers.FILTER_SIZE}x{layers.FILTER_SIZE} filter"
                     )
                 trace.append(side - layers.FILTER_SIZE + 1)
@@ -136,26 +144,25 @@ class Model:
     convs: list[ConvParams]
     fcs: list[AffineParams]
 
-    def _tensors(self) -> list[tuple[str, np.ndarray, bool]]:
-        """(name, array, is_weight) per parameter, in forward order with each
-        layer's weights or filters before its bias. Weights are Gaussian
-        initialized and L2 penalized; biases start at zero and are not."""
-        tensors = [("augmentation.W", self.augmentation.W, True), ("augmentation.b", self.augmentation.b, False)]
-        for i, c in enumerate(self.convs, start=1):
-            tensors += [(f"conv{i}.filters", c.filters, True), (f"conv{i}.bias", c.bias, False)]
-        for i, fc in enumerate(self.fcs, start=1):
-            tensors += [(f"fc{i}.W", fc.W, True), (f"fc{i}.b", fc.b, False)]
-        return tensors
+    def _layers(self) -> list[tuple[str, str, object, object]]:
+        """(name, kind, arg, params) for every layer of the config's plan;
+        params is None for a pool."""
+        params = {"augmentation": iter([self.augmentation]), "conv": iter(self.convs), "fc": iter(self.fcs)}
+        return [
+            (name, kind, arg, next(params[kind]) if kind in params else None)
+            for name, kind, arg in self.config.layer_plan()
+        ]
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, param) for name, param, _ in self._tensors()]
+        """(name, array) per parameter, in plan order, weights before bias."""
+        return [pair for name, _, _, p in self._layers() if p is not None for pair in _named(name, p)]
 
     def parameters(self) -> dict[str, np.ndarray]:
         return dict(self.named_parameters())
 
     def weight_names(self) -> list[str]:
         """Names of the L2-regularized tensors (weights/filters, not biases)."""
-        return [name for name, _, is_weight in self._tensors() if is_weight]
+        return [f"{name}.{fields(p)[0].name}" for name, _, _, p in self._layers() if p is not None]
 
     @property
     def dtype(self):
@@ -164,6 +171,11 @@ class Model:
     @property
     def n_parameters(self) -> int:
         return sum(p.size for _, p in self.named_parameters())
+
+
+def _named(layer: str, params) -> list[tuple[str, np.ndarray]]:
+    """("<layer>.<field>", array) per field of one layer's parameters."""
+    return [(f"{layer}.{f.name}", getattr(params, f.name)) for f in fields(params)]
 
 
 def _validate_config(config: NetworkConfig) -> None:
@@ -193,39 +205,32 @@ def _parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]
     directory can be checked before its model is. Raises ValueError unless
     the config is valid."""
     _validate_config(config)
-    shapes = [
-        ("augmentation.W", (config.augmentation_out, config.input_len)),
-        ("augmentation.b", (config.augmentation_out,)),
-    ]
+    shapes = []
     in_ch, in_dim = config.aug_channels, config.flatten_width()
-    n_conv = n_fc = 0
-    for kind, width in config.layer_plan():
-        if kind == "conv":
-            n_conv += 1
-            shapes += [
-                (f"conv{n_conv}.filters", (width, layers.FILTER_SIZE, layers.FILTER_SIZE, in_ch)),
-                (f"conv{n_conv}.bias", (width,)),
-            ]
-            in_ch = width
+    for name, kind, arg in config.layer_plan():
+        if kind == "augmentation":
+            pair = (math.prod(arg), config.input_len), (math.prod(arg),)
+        elif kind == "conv":
+            pair = (arg, layers.FILTER_SIZE, layers.FILTER_SIZE, in_ch), (arg,)
+            in_ch = arg
         elif kind == "fc":
-            n_fc += 1
-            shapes += [(f"fc{n_fc}.W", (width, in_dim)), (f"fc{n_fc}.b", (width,))]
-            in_dim = width
+            pair = (arg, in_dim), (arg,)
+            in_dim = arg
+        else:
+            continue
+        shapes += [(f"{name}.{f.name}", shape) for f, shape in zip(fields(_PARAMS[kind]), pair)]
     return shapes
 
 
 def allocate_model(config: NetworkConfig, dtype=DEFAULT_DTYPE) -> Model:
     """Model with zero-filled parameters (checkpoint loading, tests)."""
-    arrays = [np.zeros(shape, dtype=dtype) for _, shape in _parameter_shapes(config)]
-    # One (weights, bias) pair per weighted layer: augmentation, convs, fcs.
-    pairs = [arrays[i : i + 2] for i in range(0, len(arrays), 2)]
-    n_conv = len(config.channel_plan)
-    return Model(
-        config=config,
-        augmentation=AffineParams(*pairs[0]),
-        convs=[ConvParams(*pair) for pair in pairs[1 : 1 + n_conv]],
-        fcs=[AffineParams(*pair) for pair in pairs[1 + n_conv :]],
-    )
+    arrays = {name: np.zeros(shape, dtype=dtype) for name, shape in _parameter_shapes(config)}
+    built = {kind: [] for kind in _PARAMS}
+    for layer, kind, _ in config.layer_plan():
+        if kind in _PARAMS:
+            cls = _PARAMS[kind]
+            built[kind].append(cls(*(arrays[f"{layer}.{f.name}"] for f in fields(cls))))
+    return Model(config, built["augmentation"][0], built["conv"], built["fc"])
 
 
 def build_model(config: NetworkConfig, rng: Prng, dtype=DEFAULT_DTYPE) -> Model:
@@ -253,15 +258,13 @@ def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, r
         raise ValueError(f"batch must be [B, {cfg.input_len}], got {batch.shape}")
     tape = []
     push = tape.append if record else lambda step: None
-    names = iter([name for name, _ in model.named_parameters()])
-    convs, fcs = iter(model.convs), iter(model.fcs)
     drop_hidden = DropoutSpec(cfg.dropout_keep_hidden)
     # Forward dropout is the identity in test mode and at keep 1, so then
     # it records no backward step.
     hidden_dropout = mode == "train" and cfg.dropout_keep_hidden < 1.0
 
-    def weighted(layer_forward, layer_backward, x, p):
-        push((partial(layer_backward, x=x, p=p), (next(names), next(names))))
+    def weighted(layer_forward, layer_backward, x, name, p):
+        push((partial(layer_backward, x=x, p=p), tuple(n for n, _ in _named(name, p))))
         return layer_forward(x, p)
 
     def reshape(x, shape):
@@ -276,19 +279,19 @@ def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, r
 
     # No gradient flows to the input, so input dropout records no step.
     h, _ = dropout_forward(batch, DropoutSpec(cfg.dropout_keep_input), mode, rng)
-    h = weighted(affine_forward, affine_backward, h, model.augmentation)
-    h = reshape(h, (len(h), cfg.aug_side, cfg.aug_side, cfg.aug_channels))
-    plan = cfg.layer_plan()
-    for i, (kind, arg) in enumerate(plan):
-        if kind == "conv":
-            h = rectify(weighted(conv2d_forward, conv2d_backward, h, next(convs)))
+    plan = model._layers()
+    for i, (name, kind, arg, p) in enumerate(plan):
+        if kind == "augmentation":
+            h = reshape(weighted(affine_forward, affine_backward, h, name, p), (len(h), *arg))
+        elif kind == "conv":
+            h = rectify(weighted(conv2d_forward, conv2d_backward, h, name, p))
         elif kind == "pool":
             push((partial(maxpool_backward, x=h, spec=arg), ()))
             h = maxpool_forward(h, arg)
         else:
             if h.ndim == 4:  # NHWC, flattened row-major for the first fc
                 h = reshape(h, (len(h), -1))
-            h = weighted(affine_forward, affine_backward, h, next(fcs))
+            h = weighted(affine_forward, affine_backward, h, name, p)
             if i < len(plan) - 1:
                 h, mask = dropout_forward(rectify(h), drop_hidden, mode, rng)
                 if hidden_dropout:

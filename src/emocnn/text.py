@@ -159,18 +159,9 @@ def remove_stop_words(text: str, stops: Sequence[str]) -> str:
 
 def load_stop_words(path) -> tuple[str, ...]:
     """Read one stop word per line; blank lines and '#' comments are ignored."""
-    entries = []
-    seen = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            if word in seen:
-                continue
-            seen.add(word)
-            entries.append(word)
-    return tuple(entries)
+        words = (line.strip() for line in fh)
+        return tuple(dict.fromkeys(w for w in words if w and not w.startswith("#")))
 
 
 def alphabet_ordinal(ch: str) -> Optional[int]:

@@ -101,15 +101,7 @@ def make_batches(n_examples: int, batches_per_epoch: int, rng: Prng) -> list[np.
     """
     if batches_per_epoch > n_examples:
         raise ValueError(f"cannot make {batches_per_epoch} batches from {n_examples} examples")
-    perm = rng.permutation(n_examples)
-    base, extra = divmod(n_examples, batches_per_epoch)
-    batches = []
-    start = 0
-    for i in range(batches_per_epoch):
-        size = base + (1 if i < extra else 0)
-        batches.append(perm[start : start + size])
-        start += size
-    return batches
+    return np.array_split(rng.permutation(n_examples), batches_per_epoch)
 
 
 @dataclass

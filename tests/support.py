@@ -287,6 +287,13 @@ def rewrite_checkpoint_meta(path, edit, edit_data=None):
     path.write_bytes(header.pack(MAGIC, version, len(new_meta)) + new_meta + data)
 
 
+def write_deeply_nested_checkpoint(path, depth=200_000):
+    """A checkpoint header whose metadata is ``depth`` nested JSON arrays,
+    far deeper than the JSON decoder recurses."""
+    meta = b"[" * depth + b"]" * depth
+    path.write_bytes(struct.pack("<4sHI", MAGIC, 1, len(meta)) + meta)
+
+
 def _shift_offsets_after_first(meta, by):
     for entry in meta["tensors"][1:]:
         entry["offset"] += by

@@ -25,6 +25,7 @@ from support import (
     rewrite_checkpoint_meta,
     tiny_config,
     traced_peak,
+    write_deeply_nested_checkpoint,
 )
 
 
@@ -78,6 +79,13 @@ def test_bad_magic(tmp_path):
     blob[:4] = b"NOPE"
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="magic"):
+        load_checkpoint(path)
+
+
+def test_deeply_nested_metadata_is_unreadable(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_deeply_nested_checkpoint(path)
+    with pytest.raises(CheckpointError, match="unreadable metadata"):
         load_checkpoint(path)
 
 

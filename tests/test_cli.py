@@ -15,6 +15,7 @@ from support import (
     randomized_tiny_model,
     rewrite_checkpoint_meta,
     tiny_config,
+    write_deeply_nested_checkpoint,
     write_marker_tsv,
 )
 
@@ -176,6 +177,13 @@ def test_malformed_checkpoint_directory_predict_exits_2(tmp_path, capsys, entry)
     rewrite_checkpoint_meta(ckpt, edit)
     assert main(["predict", "--ckpt", str(ckpt), "--text", "丁"]) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_deeply_nested_checkpoint_metadata_predict_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    write_deeply_nested_checkpoint(ckpt)
+    assert main(["predict", "--ckpt", str(ckpt), "--text", "丁"]) == EXIT_DATA
+    assert "unreadable metadata" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", sorted(CHECKPOINT_META_FAULTS))

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from emocnn import network
+from emocnn import checkpoint, network
 from emocnn.labels import EmotionLabel
 from emocnn.network import (
     CONV_GROUPS,
@@ -75,6 +75,39 @@ def test_all_variants_flatten_to_9216():
         assert cfg.flatten_width() == 9216 == 6 * 6 * 256
         assert cfg.n_weighted_layers == 9
         assert len(cfg.channel_plan) == 5
+
+
+def test_variant_b_layer_names():
+    # The per-layer span names of the benchmark, which calls the first "aug".
+    names = [name for name, _, _ in NetworkConfig.for_variant("B").layer_plan()]
+    assert names == [
+        "augmentation", "conv1", "pool1", "conv2", "conv3", "pool2",
+        "conv4", "pool3", "conv5", "pool4", "fc1", "fc2", "fc3",
+    ]
+
+
+PLAN_CONFIGS = {
+    **{variant: NetworkConfig.for_variant(variant) for variant in VARIANTS},
+    "tiny": tiny_config(),
+    "two-groups-input-dropout": tiny_config(conv_groups=((3, 4), (2,)), aug_side=14, dropout_keep_input=0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CONFIGS))
+def test_parameter_names_and_order_agree_everywhere(case):
+    config = PLAN_CONFIGS[case]
+    model = build_model(config, Prng(41))
+    x = Prng(42).uniform(2 * config.input_len).reshape(2, -1).astype(model.dtype)
+    _, grads = loss_and_grads(model, x, np.array([0, 4]), mode="train", rng=Prng(43))
+    assert [(name, p.shape) for name, p in model.named_parameters()] == network._parameter_shapes(config)
+    names = [name for name, _ in model.named_parameters()]
+    assert names == [entry["name"] for entry in checkpoint._directory(config)]
+    # Filled layer by layer as the backward walk reaches each, weight first.
+    layers = [names[i : i + 2] for i in range(0, len(names), 2)]
+    assert list(grads) == [name for layer in reversed(layers) for name in layer]
+    params = model.parameters()
+    for name in names:
+        assert grads[name].shape == params[name].shape, name
 
 
 def test_unknown_variant_rejected():
