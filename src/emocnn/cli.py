@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: preprocess, train, eval, predict, sweep-config, sweep-params.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical fault.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical fault,
+4 internal error (any other exception; a bug, reported in one line).
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -231,6 +233,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # the last resort: no traceback leaves the CLI
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

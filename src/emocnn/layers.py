@@ -15,6 +15,10 @@ from .tensor import Prng
 
 FILTER_SIZE = 5
 
+# Working memory per block of samples: conv2d_forward's im2col columns and
+# maxpool_backward's float64 sums stay under it, whatever the batch.
+_BLOCK_BYTES = 8 << 20
+
 
 @dataclass
 class AffineParams:
@@ -82,6 +86,14 @@ def affine_backward(dy: np.ndarray, x: np.ndarray, p: AffineParams):
     return dx, dW, db
 
 
+def _sample_blocks(batch: int, bytes_per_sample: int) -> list[slice]:
+    """Consecutive blocks of whole samples covering ``batch``, each within
+    ``_BLOCK_BYTES`` at ``bytes_per_sample`` (one sample if that alone
+    exceeds it)."""
+    step = max(1, _BLOCK_BYTES // max(bytes_per_sample, 1))
+    return [slice(lo, lo + step) for lo in range(0, batch, step)]
+
+
 def _im2col(x: np.ndarray, fh: int, fw: int) -> np.ndarray:
     """Unfold valid stride-1 patches of NHWC input into rows [B*oh*ow, fh*fw*C].
 
@@ -109,10 +121,17 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
         raise ValueError(f"conv input channels {c} do not match filters {p.filters.shape}")
     if h < fh or w < fw:
         raise ValueError(f"conv input {h}x{w} smaller than {fh}x{fw} filter")
-    cols = _im2col(x, fh, fw)
-    out = cols @ p.filters.reshape(k, -1).T
+    oh, ow = h - fh + 1, w - fw + 1
+    out = np.empty((batch, oh, ow, k), dtype=np.result_type(x, p.filters))
+    weights = p.filters.reshape(k, -1).T
+    # One im2col and GEMM per block of whole samples, written straight into
+    # the output, so no column block outgrows _BLOCK_BYTES; whole, conv3's
+    # columns are 82 MB for variant B at batch 32. The blocks split only the
+    # GEMM's rows, each of them one patch's dot products with the filters.
+    for block in _sample_blocks(batch, oh * ow * fh * fw * c * x.itemsize):
+        np.matmul(_im2col(x[block], fh, fw), weights, out=out[block].reshape(-1, k))
     out += p.bias
-    return out.reshape(batch, h - fh + 1, w - fw + 1, k)
+    return out
 
 
 def conv2d_backward(dy: np.ndarray, x: np.ndarray, p: ConvParams):
@@ -195,12 +214,27 @@ def _running_max(views: list[np.ndarray], ufunc) -> np.ndarray:
 
 def maxpool_backward(dy: np.ndarray, x: np.ndarray, spec: PoolSpec) -> np.ndarray:
     batch, h, w, c = x.shape
-    win, stride = spec.window, spec.stride
     oh, ow, (top, left, bottom, right) = _pool_geometry(h, w, spec)
     if dy.shape != (batch, oh, ow, c):
         raise ValueError(f"pool gradient shape {dy.shape}, expected {(batch, oh, ow, c)}")
-    xp = _pad_neg_inf(x, top, left, bottom, right)
-    hp, wp = xp.shape[1:3]
+    # A sample's windows route only to its own cells, so a bincount per
+    # block of samples sums each cell in the same order as one over the
+    # batch. The block bounds bincount's float64 sums over the padded grid
+    # and its int64 targets and float64 weights, one per window.
+    dx = np.empty(x.shape, dtype=x.dtype)
+    per_sample = ((h + top + bottom) * (w + left + right) + 2 * oh * ow) * c * 8
+    for block in _sample_blocks(batch, per_sample):
+        xp = _pad_neg_inf(x[block], top, left, bottom, right)
+        dxp = _route_to_first_winner(dy[block], xp, spec, oh, ow)
+        dx[block] = dxp[:, top : top + h, left : left + w, :]
+    return dx
+
+
+def _route_to_first_winner(dy: np.ndarray, xp: np.ndarray, spec: PoolSpec, oh: int, ow: int) -> np.ndarray:
+    """The pool gradient on the padded input ``xp``, summed in float64: each
+    window's upstream gradient goes to its first (row-major) maximum."""
+    batch, hp, wp, c = xp.shape
+    win, stride = spec.window, spec.stride
 
     # The forward's np.maximum propagates NaN, so a NaN in any window wins
     # there; fmax here skips NaN, as the strict > of a running maximum does.
@@ -229,8 +263,7 @@ def maxpool_backward(dy: np.ndarray, x: np.ndarray, spec: PoolSpec) -> np.ndarra
     ) * c
     target += np.arange(c)
     dxp = np.bincount(target.ravel(), weights=dy.ravel(), minlength=batch * hp * wp * c)
-    dxp = dxp.reshape(batch, hp, wp, c)
-    return dxp[:, top : top + h, left : left + w, :].astype(x.dtype)
+    return dxp.reshape(batch, hp, wp, c)
 
 
 def dropout_forward(x: np.ndarray, spec: DropoutSpec, mode: str, rng: Prng | None = None):

@@ -42,7 +42,7 @@ from .layers import (
     softmax_cross_entropy,
     _pool_geometry,
 )
-from .tensor import DEFAULT_DTYPE, Prng, gaussian_init
+from .tensor import DEFAULT_DTYPE, FLAT_BLOCK, Prng, flat_blocks, gaussian_init
 from .text import SEQUENCE_LENGTH
 
 # Conv channel widths per group; each group is followed by one max pool.
@@ -316,12 +316,17 @@ def loss_and_grads(
     """Softmax cross-entropy plus L2 penalty, with gradients for every
     parameter. The L2 term is l2 * sum(W^2) over weights and filters only,
     with l2 the config's ``l2_strength``; its gradient contribution is
-    2 * l2 * W."""
+    2 * l2 * W.
+
+    The tape is replayed by popping its steps, so each layer's saved input
+    is freed once its backward has run; the tape is empty on return.
+    """
     l2 = model.config.l2_strength
     logits, tape = _run_forward(model, batch, mode, rng)
     loss, _, g = softmax_cross_entropy(logits, np.asarray(labels))
     grads: dict[str, np.ndarray] = {}
-    for backward, names in reversed(tape):
+    while tape:
+        backward, names = tape.pop()
         if names:
             g, *param_grads = backward(g)
             grads.update(zip(names, param_grads))
@@ -329,11 +334,22 @@ def loss_and_grads(
             g = backward(g)
     if l2 != 0.0:
         params = model.parameters()
-        for name in model.weight_names():
-            w = params[name]
+        weights = {name: params[name] for name in model.weight_names()}
+        for w in weights.values():
             loss += l2 * float(np.vdot(w, w))
-            grads[name] += (2.0 * l2) * w
+        _add_l2_gradients(grads, weights, l2)
     return loss, grads
+
+
+def _add_l2_gradients(grads: dict[str, np.ndarray], weights: dict[str, np.ndarray], l2: float) -> None:
+    """``grads[name] += (2 * l2) * w`` for every weight, in place, over
+    ``tensor.flat_blocks`` through one block-sized scratch array. The
+    gradients must be C-contiguous."""
+    dtype = np.result_type(*weights.values())
+    scratch = np.empty(min(FLAT_BLOCK, max(w.size for w in weights.values())), dtype=dtype)
+    for name, w in weights.items():
+        for gb, wb in flat_blocks(grads[name], w):
+            gb += np.multiply(wb, 2.0 * l2, out=scratch[: len(wb)])
 
 
 def scale_codes(codes, dtype) -> np.ndarray:
@@ -353,9 +369,10 @@ def predict(model: Model, seq) -> tuple[EmotionLabel, np.ndarray]:
 
 def predict_batch(model: Model, codes: np.ndarray, batch_size: int = 32) -> np.ndarray:
     """Predicted class indices for raw byte codes [N, 144], in chunks of
-    ``batch_size`` rows. At 32 rows conv3's im2col is 82 MB for variant B,
-    against 655 MB at 256; the GEMMs' low bits, and so near-tied labels,
-    can differ between chunk sizes."""
+    ``batch_size`` rows. The layer outputs grow with the chunk; the conv
+    im2col columns do not, since ``conv2d_forward`` builds them in blocks
+    of at most 8 MB. The GEMMs' low bits, and so near-tied labels, can
+    differ between chunk sizes."""
     x = scale_codes(codes, model.dtype)
     out = np.empty(len(x), dtype=np.int64)
     for start in range(0, len(x), batch_size):

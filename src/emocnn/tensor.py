@@ -20,6 +20,19 @@ _U64_MASK = (1 << 64) - 1
 # temporaries of a Gaussian init to a few MB whatever the tensor's size.
 _NORMAL_BLOCK = 1 << 16
 
+# Elements per block of flat_blocks: the scratch of a blocked elementwise
+# update (Adam, the L2 gradient) stays cache-sized whatever the tensor's size.
+FLAT_BLOCK = 1 << 15
+
+
+def flat_blocks(*arrays):
+    """Matching blocks of at most ``FLAT_BLOCK`` elements of the flattened
+    same-size ``arrays``, in order. An array written through its blocks must
+    be C-contiguous, so that its flattening is a view."""
+    flats = [a.reshape(-1) for a in arrays]
+    for lo in range(0, flats[0].size, FLAT_BLOCK):
+        yield tuple(f[lo : lo + FLAT_BLOCK] for f in flats)
+
 
 def _unit_float(draws: np.ndarray) -> np.ndarray:
     """Raw draws as float64 in [0, 1), from the top 53 bits of each."""

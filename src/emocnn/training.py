@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import Model, loss_and_grads, predict_batch, scale_codes
-from .tensor import Prng
+from .tensor import FLAT_BLOCK, Prng, flat_blocks
 from .text import split_dataset
 
 # Offset so the shuffle/dropout stream never aliases the split stream,
@@ -68,28 +68,47 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     gradient leaves the model untouched. The update is computed as
     (lr*sqrt(bc2)/bc1) * m / (sqrt(v) + eps*sqrt(bc2)), which equals the
     textbook lr * m_hat / (sqrt(v_hat) + eps) while touching each array once.
+    It runs over ``tensor.flat_blocks``, so its temporaries are two
+    block-sized scratch arrays however large a tensor is; each element sees
+    the same operations as in a whole-tensor update, so the bits are the same.
+    Parameters and moments must be C-contiguous.
     """
     if set(grads) != set(params):
         raise ValueError("gradient keys do not match parameter keys")
     for name, g in grads.items():
-        if not np.isfinite(g).all():
+        arrays = (params[name], state.m[name], state.v[name])
+        if any(a.shape != g.shape or not a.flags.c_contiguous for a in arrays):
+            raise ValueError(f"{name}: gradient, parameter and moments need one shape, C-contiguous")
+        # A finite sum of squares proves every value finite. Finite values
+        # can overflow it too, so only a non-finite sum takes the exact scan.
+        if not np.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
             raise NumericalFault(f"non-finite gradient in {name}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     alpha = state.learning_rate * np.sqrt(bc2) / bc1
     denom_eps = ADAM_EPSILON * np.sqrt(bc2)
+    size = min(FLAT_BLOCK, max((g.size for g in grads.values()), default=0))
+    scratch = {}  # (gradient dtype, moment dtype) -> the two scratch arrays
     for name, g in grads.items():
         m, v = state.m[name], state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        update = np.sqrt(v)
-        update += denom_eps
-        np.divide(m, update, out=update)
-        update *= alpha
-        params[name] -= update
+        key = (g.dtype, v.dtype)
+        if key not in scratch:
+            scratch[key] = np.empty(size, g.dtype), np.empty(size, v.dtype)
+        for gb, mb, vb, pb in flat_blocks(g, m, v, params[name]):
+            term, update = (s[: len(gb)] for s in scratch[key])
+            mb *= ADAM_BETA1
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=term)
+            mb += term
+            vb *= ADAM_BETA2
+            np.square(gb, out=term)
+            term *= 1.0 - ADAM_BETA2
+            vb += term
+            np.sqrt(vb, out=update)
+            update += denom_eps
+            np.divide(mb, update, out=update)
+            update *= alpha
+            pb -= update
     return params, state
 
 
@@ -157,6 +176,7 @@ def train(model: Model, dataset, config: TrainConfig):
             if not np.isfinite(loss):
                 raise NumericalFault(f"non-finite loss at step {step}")
             adam_step(params, grads, state)
+            del grads  # so the next step's gradients are the only set alive
             log.steps.append((step, float(loss)))
         if len(eval_idx):
             log.val_top1.append((epoch, _validation_accuracy(model, codes[eval_idx], y[eval_idx])))

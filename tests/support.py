@@ -19,6 +19,7 @@ from emocnn.layers import (
     softmax_cross_entropy,
 )
 from emocnn.text import SEQUENCE_LENGTH, alphabet_ordinal, remap
+from emocnn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
 
 def rel_error(a, b) -> float:
@@ -118,6 +119,25 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def adam_step_whole(params, grads, m, v, t, learning_rate):
+    """Reference Adam step number ``t``, one whole-tensor operation at a
+    time, in the order ``training.adam_step`` applies them to each block."""
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    alpha = learning_rate * np.sqrt(bc2) / bc1
+    denom_eps = ADAM_EPSILON * np.sqrt(bc2)
+    for name, g in grads.items():
+        m[name] *= ADAM_BETA1
+        m[name] += (1.0 - ADAM_BETA1) * g
+        v[name] *= ADAM_BETA2
+        v[name] += (1.0 - ADAM_BETA2) * np.square(g)
+        update = np.sqrt(v[name])
+        update += denom_eps
+        np.divide(m[name], update, out=update)
+        update *= alpha
+        params[name] -= update
 
 
 def normal_one_shot(rng, n):

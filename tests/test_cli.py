@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from emocnn import cli, training
 from emocnn.checkpoint import load_checkpoint, save_checkpoint
-from emocnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from emocnn.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from emocnn.network import build_model, predict
 from emocnn.tensor import Prng
 from emocnn.text import encode_dialogue, load_dataset
@@ -253,3 +254,22 @@ def test_sweep_config_cli(tmp_path, data_tsv):
     lines = out.read_text().splitlines()
     assert lines[0] == "variant,val_top1,seconds"
     assert lines[1].startswith("A,") and lines[2].startswith("B,")
+
+
+def _raise_unexpected(*args, **kwargs):
+    raise RuntimeError("not a data, usage or numerical fault\non two lines")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_unexpected_exception_exits_4_in_one_line(tmp_path, data_tsv, tiny_ckpt, monkeypatch, capsys, command):
+    # The last-resort guard: any other exception is one stderr line, no traceback.
+    target, argv = {
+        "train": ((training, "train"), _train_args(data_tsv, tmp_path / "m.ckpt")),
+        "eval": ((cli, "evaluate"), ["eval", "--data", data_tsv, "--ckpt", tiny_ckpt, "--report", str(tmp_path / "r.csv")]),
+        "predict": ((cli, "predict"), ["predict", "--ckpt", tiny_ckpt, "--text", "丁"]),
+    }[command]
+    monkeypatch.setattr(*target, _raise_unexpected)
+    assert main(argv) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("internal error: RuntimeError(")
+    assert "Traceback" not in err

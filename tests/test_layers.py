@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from emocnn import layers
 from emocnn.layers import (
     AffineParams,
     ConvParams,
@@ -32,6 +33,7 @@ from support import (
     maxpool_forward_naive,
     numeric_gradient,
     rel_error,
+    traced_peak,
 )
 
 
@@ -179,6 +181,44 @@ def test_conv_matches_loop_oracles_on_views_and_edge_shapes(case, k):
         assert rel_error(got, want) < 1e-13
 
 
+CONV_BLOCK_SAMPLES = 4
+CONV_BLOCK_INPUTS = {
+    "contiguous": lambda rng, b: rng.random((b, 7, 8, 2)) - 0.5,
+    "transposed-view": lambda rng, b: (rng.random((b, 9, 6, 3)) - 0.5).transpose(0, 2, 1, 3),
+    "strided-slice": lambda rng, b: (rng.random((b, 12, 14, 4)) - 0.5)[:, ::2, 1::2, ::2],
+    "one-channel": lambda rng, b: rng.random((b, 7, 6, 1)) - 0.5,
+}
+
+
+@pytest.mark.parametrize(
+    "batch", [1, CONV_BLOCK_SAMPLES - 1, CONV_BLOCK_SAMPLES, CONV_BLOCK_SAMPLES + 1, 2 * CONV_BLOCK_SAMPLES + 3]
+)
+@pytest.mark.parametrize("case", sorted(CONV_BLOCK_INPUTS))
+def test_blocked_conv_matches_naive_reference(monkeypatch, case, batch):
+    rng = np.random.default_rng(26)
+    x = CONV_BLOCK_INPUTS[case](rng, batch)
+    p = _conv_params(rng, 3, x.shape[3])
+    _, h, w, c = x.shape
+    # Exactly CONV_BLOCK_SAMPLES samples of im2col columns per block.
+    monkeypatch.setattr(layers, "_BLOCK_BYTES", CONV_BLOCK_SAMPLES * (h - 4) * (w - 4) * 25 * c * x.itemsize)
+    im2col, blocks = layers._im2col, []
+    monkeypatch.setattr(layers, "_im2col", lambda xb, *a: blocks.append(len(xb)) or im2col(xb, *a))
+    out = conv2d_forward(x, p)
+    assert blocks == [min(CONV_BLOCK_SAMPLES, batch - lo) for lo in range(0, batch, CONV_BLOCK_SAMPLES)]
+    assert rel_error(out, conv2d_naive(x, p.filters, p.bias)) < 1e-13
+
+
+def test_conv_forward_peak_memory_is_output_plus_two_blocks():
+    # Whole, this input's im2col columns would be 82 MB.
+    rng = np.random.default_rng(27)
+    x = rng.random((32, 24, 24, 64), dtype=np.float32)
+    p = ConvParams(rng.random((8, 5, 5, 64), dtype=np.float32), np.zeros(8, dtype=np.float32))
+    assert 32 * 20 * 20 * 25 * 64 * x.itemsize >= 64 << 20
+    out_bytes = 32 * 20 * 20 * 8 * x.itemsize
+    peak = traced_peak(conv2d_forward, x, p)
+    assert peak < out_bytes + 2 * layers._BLOCK_BYTES, f"peak {peak / 2**20:.1f} MB"
+
+
 # ---------------------------------------------------------------- relu
 
 def test_relu_values():
@@ -278,11 +318,11 @@ POOL_SPECS = [
 
 
 @st.composite
-def pool_cases(draw):
+def pool_cases(draw, max_batch=2):
     spec = draw(st.sampled_from(POOL_SPECS))
     h = draw(st.sampled_from((3, 5, 7, 9)))
     w = draw(st.sampled_from((3, 5, 7, 9)).filter(lambda v: v != h))
-    shape = (draw(st.integers(1, 2)), h, w, draw(st.integers(1, 3)))
+    shape = (draw(st.integers(1, max_batch)), h, w, draw(st.integers(1, 3)))
     # A few small integers, 0 among them, so windows tie often, as after ReLU.
     x = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from((-1.0, 0.0, 1.0, 2.0))))
     out_shape = maxpool_forward(x, spec).shape
@@ -306,6 +346,21 @@ def test_maxpool_backward_float32_sums_in_float64_and_rounds_once(case):
     expected = maxpool_backward_naive(dy, x, spec.window, spec.stride, spec.padding).astype(np.float32)
     dx = maxpool_backward(dy, x, spec)
     assert dx.dtype == np.float32
+    npt.assert_array_equal(dx, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool_cases(max_batch=5), st.sampled_from((1, 2000, 6000)), st.sampled_from((np.float64, np.float32)))
+def test_blocked_maxpool_backward_matches_loop_across_block_edges(case, block_bytes, dtype):
+    # 1 byte puts every sample in a block of its own; the others hold one
+    # to several samples, depending on the shape.
+    spec, x, dy = case
+    x, dy = x.astype(dtype), dy.astype(dtype)
+    expected = maxpool_backward_naive(dy, x, spec.window, spec.stride, spec.padding).astype(dtype)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "_BLOCK_BYTES", block_bytes)
+        dx = maxpool_backward(dy, x, spec)
+    assert dx.dtype == dtype
     npt.assert_array_equal(dx, expected)
 
 

@@ -18,7 +18,7 @@ from emocnn.network import (
     predict,
     predict_batch,
 )
-from emocnn.tensor import Prng
+from emocnn.tensor import FLAT_BLOCK, Prng
 
 from support import (
     composed_forward,
@@ -338,6 +338,41 @@ def test_only_loss_and_grads_records_a_tape(monkeypatch):
     assert records == [False, False, False, True]
 
 
+def test_loss_and_grads_frees_the_tape_before_the_l2_pass(monkeypatch):
+    walk, add_l2, tapes, left_at_l2 = network._run_forward, network._add_l2_gradients, [], []
+
+    def spy_walk(*args, **kwargs):
+        logits, tape = walk(*args, **kwargs)
+        tapes.append((len(tape), tape))
+        return logits, tape
+
+    def spy_l2(*args):
+        left_at_l2.append(len(tapes[0][1]))
+        return add_l2(*args)
+
+    monkeypatch.setattr(network, "_run_forward", spy_walk)
+    monkeypatch.setattr(network, "_add_l2_gradients", spy_l2)
+    model = randomized_tiny_model(41, dtype=np.float32)
+    codes = np.random.default_rng(42).integers(0, 256, size=(3, 5))
+    loss_and_grads(model, network.scale_codes(codes, np.float32), np.array([0, 1, 2]), rng=Prng(43))
+    (recorded, tape), = tapes
+    assert recorded > 0 and tape == [] and left_at_l2 == [0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_l2_gradient_is_bit_identical_to_whole_tensor_add(dtype):
+    rng = np.random.default_rng(44)
+    l2 = 1.5e-4
+    sizes = [1, FLAT_BLOCK - 1, FLAT_BLOCK + 1, 3 * FLAT_BLOCK + 7]
+    weights = {f"w{n}": rng.normal(size=n).astype(dtype) for n in sizes}
+    weights["matrix"] = rng.normal(size=(7, FLAT_BLOCK // 3)).astype(dtype)
+    grads = {k: rng.normal(size=w.shape).astype(dtype) for k, w in weights.items()}
+    want = {k: grads[k] + (2.0 * l2) * w for k, w in weights.items()}
+    network._add_l2_gradients(grads, weights, l2)
+    for k in weights:
+        assert grads[k].dtype == dtype and grads[k].tobytes() == want[k].tobytes()
+
+
 def test_predict_batch_labels_do_not_depend_on_the_chunk(served_b):
     codes = _codes(70, 35)
     labels = predict_batch(served_b, codes, batch_size=256)
@@ -346,7 +381,7 @@ def test_predict_batch_labels_do_not_depend_on_the_chunk(served_b):
 
 
 def test_predict_batch_peak_memory_at_the_default_chunk(served_b):
-    # About 90 MB at 32 rows: conv3's im2col and the layer outputs, no tape.
+    # About 20 MB at 32 rows: the layer outputs and one im2col block, no tape.
     peak = traced_peak(predict_batch, served_b, _codes(64, 36))
     assert peak <= 128e6, f"peak {peak / 1e6:.0f} MB"
 

@@ -9,7 +9,7 @@ import pytest
 
 import emocnn
 from emocnn.network import build_model, loss_and_grads
-from emocnn.tensor import Prng
+from emocnn.tensor import FLAT_BLOCK, Prng
 from emocnn.training import (
     AdamState,
     NumericalFault,
@@ -20,7 +20,7 @@ from emocnn.training import (
     train,
 )
 
-from support import make_marker_dataset, randomized_tiny_model, tiny_config
+from support import adam_step_whole, make_marker_dataset, randomized_tiny_model, tiny_config, traced_peak
 
 
 def _scalar_state(lr):
@@ -70,6 +70,61 @@ def test_adam_rejects_non_finite_gradient_without_update():
         adam_step(params, {"w": np.array([np.nan])}, state)
     npt.assert_array_equal(params["w"], before)
     assert state.t == 0
+
+
+def test_adam_accepts_a_finite_gradient_whose_square_sum_overflows():
+    params = {"w": np.ones(8, dtype=np.float32)}
+    state = AdamState.for_params(params, learning_rate=1e-3)
+    g = np.full(8, 1e19, dtype=np.float32)  # each square is finite, their float32 sum is not
+    assert not np.isfinite(np.vdot(g, g))
+    adam_step(params, {"w": g}, state)
+    assert state.t == 1
+    assert np.isfinite(params["w"]).all() and (params["w"] < 1.0).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_non_finite_gradient_touches_no_tensor(bad):
+    params = {"a": np.ones(5), "b": np.ones(3)}
+    state = AdamState.for_params(params, learning_rate=0.1)
+    with pytest.raises(NumericalFault, match="in b"):
+        adam_step(params, {"a": np.ones(5), "b": np.array([1.0, bad, 1.0])}, state)
+    assert state.t == 0
+    for name in params:
+        npt.assert_array_equal(params[name], 1.0)
+        assert not state.m[name].any() and not state.v[name].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [1, FLAT_BLOCK - 1, FLAT_BLOCK + 1, 3 * FLAT_BLOCK + 7])
+def test_blocked_adam_is_bit_identical_to_whole_tensor_reference(size, dtype):
+    rng = np.random.default_rng(size)
+    params = {"w": rng.normal(size=size).astype(dtype), "b": rng.normal(size=(2, 3)).astype(dtype)}
+    want = {k: p.copy() for k, p in params.items()}
+    m, v = ({k: np.zeros_like(p) for k, p in params.items()} for _ in range(2))
+    state = AdamState.for_params(params, learning_rate=1e-3)
+    for t in range(1, 4):
+        grads = {k: rng.normal(size=p.shape).astype(dtype) for k, p in params.items()}
+        adam_step(params, grads, state)
+        adam_step_whole(want, grads, m, v, t, 1e-3)
+    for k in params:
+        assert params[k].tobytes() == want[k].tobytes()
+        assert state.m[k].tobytes() == m[k].tobytes() and state.v[k].tobytes() == v[k].tobytes()
+
+
+def test_adam_step_peak_memory_is_block_sized():
+    # 16 MB per float32 array; the scratch is two blocks of FLAT_BLOCK elements.
+    params = {"w": np.zeros(1 << 22, dtype=np.float32)}
+    state = AdamState.for_params(params, learning_rate=1e-3)
+    grads = {"w": np.full(1 << 22, 0.5, dtype=np.float32)}
+    peak = traced_peak(adam_step, params, grads, state)
+    assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MB"
+
+
+def test_adam_rejects_mismatched_shapes_without_update():
+    params, state = _scalar_state(lr=0.1)
+    with pytest.raises(ValueError):
+        adam_step(params, {"w": np.ones(2)}, state)
+    assert params["w"][0] == 1.0 and state.t == 0
 
 
 def test_adam_update_magnitude_bounded():
