@@ -15,8 +15,9 @@ from .tensor import Prng
 
 FILTER_SIZE = 5
 
-# Working memory per block of samples: conv2d_forward's im2col columns and
-# maxpool_backward's float64 sums stay under it, whatever the batch.
+# Working memory per block of samples: the im2col columns of conv2d_forward
+# and of conv2d_backward's filter gradient, and maxpool_backward's float64
+# sums, stay under it, whatever the batch.
 _BLOCK_BYTES = 8 << 20
 
 
@@ -142,15 +143,19 @@ def conv2d_backward(dy: np.ndarray, x: np.ndarray, p: ConvParams):
         raise ValueError(f"conv gradient shape {dy.shape}, expected {(batch, oh, ow, k)}")
     dy_mat = dy.reshape(-1, k)
     dbias = dy_mat.sum(axis=0)
-    # One GEMM pair per filter tap (i, j), so no [B*oh*ow, fh*fw*C] patch matrix is built.
-    dfilters = np.empty(p.filters.shape, dtype=np.result_type(dy, x))
+    # dfilters is dy^T times the im2col columns, unfolded again over the
+    # forward's blocks of whole samples and summed, so no column block
+    # outgrows _BLOCK_BYTES.
+    dfilters = np.zeros((k, fh * fw * c), dtype=np.result_type(dy, x))
+    for block in _sample_blocks(batch, oh * ow * fh * fw * c * x.itemsize):
+        dfilters += dy[block].reshape(-1, k).T @ _im2col(x[block], fh, fw)
+    # dx takes one GEMM per filter tap (i, j), each added into its window of
+    # dx, so no [B*oh*ow, fh*fw*C] patch gradient is built.
     dx = np.zeros(x.shape, dtype=np.result_type(dy, p.filters))
     for i in range(fh):
         for j in range(fw):
-            x_tap = x[:, i : i + oh, j : j + ow, :].reshape(-1, c)
-            dfilters[:, i, j, :] = dy_mat.T @ x_tap
             dx[:, i : i + oh, j : j + ow, :] += (dy_mat @ p.filters[:, i, j, :]).reshape(batch, oh, ow, c)
-    return dx, dfilters, dbias
+    return dx, dfilters.reshape(p.filters.shape), dbias
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -191,16 +196,17 @@ def maxpool_forward(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
         raise ValueError(f"pool input must be [B,H,W,C], got {x.shape}")
     _, h, w, _ = x.shape
     oh, ow, (top, left, bottom, right) = _pool_geometry(h, w, spec)
-    return _window_max(_pad_neg_inf(x, top, left, bottom, right), spec, oh, ow, np.maximum)
+    return _window_max(_pad_neg_inf(x, top, left, bottom, right), spec, oh, ow, np.maximum)[1]
 
 
-def _window_max(xp: np.ndarray, spec: PoolSpec, oh: int, ow: int, ufunc) -> np.ndarray:
-    """The maximum of each pool window of the padded input ``xp``, as ``ufunc``
-    takes it. Separable: the maxima along each row's windows, then down the
-    columns of those, so 2 * win passes instead of win * win."""
+def _window_max(xp: np.ndarray, spec: PoolSpec, oh: int, ow: int, ufunc):
+    """``(row_max, window_max)`` of the padded input ``xp``, as ``ufunc``
+    takes the maximum. Separable: ``row_max`` [B, Hp, ow, C] holds the
+    maxima along each padded row's windows, and the maxima down the columns
+    of those are the windows' own, so 2 * win passes instead of win * win."""
     win, stride = spec.window, spec.stride
     row_max = _running_max([xp[:, :, j : j + stride * ow : stride, :] for j in range(win)], ufunc)
-    return _running_max([row_max[:, i : i + stride * oh : stride] for i in range(win)], ufunc)
+    return row_max, _running_max([row_max[:, i : i + stride * oh : stride] for i in range(win)], ufunc)
 
 
 def _running_max(views: list[np.ndarray], ufunc) -> np.ndarray:
@@ -238,19 +244,22 @@ def _route_to_first_winner(dy: np.ndarray, xp: np.ndarray, spec: PoolSpec, oh: i
 
     # The forward's np.maximum propagates NaN, so a NaN in any window wins
     # there; fmax here skips NaN, as the strict > of a running maximum does.
-    best = _window_max(xp, spec, oh, ow, np.fmax)
+    row_max, best = _window_max(xp, spec, oh, ow, np.fmax)
 
-    # First (row-major) winner: walk the offsets k = i*win + j downwards and
-    # move idx to k wherever the window equals its maximum, branch-free.
-    idx = np.zeros(best.shape, dtype=np.int8 if win * win <= 128 else np.int32)
-    eq = np.empty(best.shape, dtype=bool)
-    step = np.empty_like(idx)
-    for k in range(win * win - 1, -1, -1):
-        i, j = divmod(k, win)
-        np.equal(xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :], best, out=eq)
-        np.subtract(k, idx, out=step)
-        step *= eq.view(np.int8)
-        idx += step
+    # First (row-major) winner, offset idx = i*win + j, in two stages. A
+    # window row holds the window's maximum exactly when its row maximum
+    # equals it, so the winner is the first such row i, at the first column
+    # j where that row holds its row maximum: 2 * win - 1 compares, not
+    # win * win. Stage 2 reads col only in rows whose maximum equals the
+    # window's. Such a maximum is not NaN, so the row holds it in some
+    # column, and where no column before the last matches, the last does.
+    dtype = np.int8 if win * win <= 128 else np.int32
+    col = np.full(row_max.shape, win - 1, dtype=dtype)
+    _first_equal(((xp[:, :, j : j + stride * ow : stride, :], j) for j in reversed(range(win - 1))), row_max, col)
+    # A window with no row maximum equal to its own (all NaN) keeps idx 0.
+    idx = np.zeros(best.shape, dtype=dtype)
+    rows = [slice(i, i + stride * oh, stride) for i in range(win)]
+    _first_equal(((row_max[:, rows[i]], col[:, rows[i]] + i * win) for i in reversed(range(win))), best, idx)
 
     # Scatter onto the padded grid, where every routed cell is in range: a
     # window with no finite value can route to padding, which is cropped off.
@@ -264,6 +273,20 @@ def _route_to_first_winner(dy: np.ndarray, xp: np.ndarray, spec: PoolSpec, oh: i
     target += np.arange(c)
     dxp = np.bincount(target.ravel(), weights=dy.ravel(), minlength=batch * hp * wp * c)
     return dxp.reshape(batch, hp, wp, c)
+
+
+def _first_equal(pairs, target: np.ndarray, out: np.ndarray) -> None:
+    """Set ``out``, position by position, to the label of the first (view,
+    label) pair whose view equals ``target`` there; where none does, ``out``
+    keeps its value. ``pairs`` comes last pair first, so a branch-free walk,
+    out += (label - out) * eq, leaves the first match standing."""
+    eq = np.empty(target.shape, dtype=bool)
+    step = np.empty_like(out)
+    for view, label in pairs:
+        np.equal(view, target, out=eq)
+        np.subtract(label, out, out=step)
+        step *= eq.view(np.int8)
+        out += step
 
 
 def dropout_forward(x: np.ndarray, spec: DropoutSpec, mode: str, rng: Prng | None = None):

@@ -204,8 +204,16 @@ def test_blocked_conv_matches_naive_reference(monkeypatch, case, batch):
     im2col, blocks = layers._im2col, []
     monkeypatch.setattr(layers, "_im2col", lambda xb, *a: blocks.append(len(xb)) or im2col(xb, *a))
     out = conv2d_forward(x, p)
-    assert blocks == [min(CONV_BLOCK_SAMPLES, batch - lo) for lo in range(0, batch, CONV_BLOCK_SAMPLES)]
+    expected_blocks = [min(CONV_BLOCK_SAMPLES, batch - lo) for lo in range(0, batch, CONV_BLOCK_SAMPLES)]
+    assert blocks == expected_blocks
     assert rel_error(out, conv2d_naive(x, p.filters, p.bias)) < 1e-13
+    # The filter gradient unfolds the same blocks of whole samples.
+    blocks.clear()
+    dy = rng.random(out.shape) - 0.5
+    grads = conv2d_backward(dy, x, p)
+    assert blocks == expected_blocks
+    for got, want in zip(grads, conv2d_backward_naive(dy, x, p.filters)):
+        assert rel_error(got, want) < 1e-13
 
 
 def test_conv_forward_peak_memory_is_output_plus_two_blocks():
@@ -217,6 +225,18 @@ def test_conv_forward_peak_memory_is_output_plus_two_blocks():
     out_bytes = 32 * 20 * 20 * 8 * x.itemsize
     peak = traced_peak(conv2d_forward, x, p)
     assert peak < out_bytes + 2 * layers._BLOCK_BYTES, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_conv_backward_peak_memory_is_gradients_plus_one_tap_plus_two_blocks():
+    # The input of the forward test above, whose whole im2col would be 82 MB.
+    rng = np.random.default_rng(28)
+    x = rng.random((32, 24, 24, 64), dtype=np.float32)
+    p = ConvParams(rng.random((8, 5, 5, 64), dtype=np.float32), np.zeros(8, dtype=np.float32))
+    dy = rng.random((32, 20, 20, 8), dtype=np.float32)
+    tap_bytes = 32 * 20 * 20 * 64 * x.itemsize  # one tap's product dy @ filters[:, i, j, :]
+    bound = x.nbytes + p.filters.nbytes + tap_bytes + 2 * layers._BLOCK_BYTES
+    peak = traced_peak(conv2d_backward, dy, x, p)
+    assert peak < bound, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------- relu
@@ -371,6 +391,49 @@ def test_maxpool_backward_window_wider_than_11_matches_loop():
     x = rng.integers(0, 3, size=(1, 13, 14, 2)).astype(np.float64)
     dy = rng.random(maxpool_forward(x, spec).shape)
     npt.assert_array_equal(maxpool_backward(dy, x, spec), maxpool_backward_naive(dy, x, 12, 5, "same"))
+
+
+def _tie_window(win, cells, value=3.0):
+    """One win x win window of zeros with ``value`` at each (row, column) of
+    ``cells``."""
+    x = np.zeros((1, win, win, 1))
+    for cell in cells:
+        x[(0, *cell, 0)] = value
+    return x
+
+
+def _nan_row_above_tied_row():
+    x = _tie_window(3, [(1, 0), (1, 1), (1, 2)])
+    x[0, 0] = np.nan
+    return x
+
+
+# Windows (stride = window, so one each) that tell the two-stage winner
+# search from a slip in its walks: each stage must walk downwards to keep its
+# first match, and stage 2 must read the column stage 1 found in its own row.
+FIRST_WINNER_CASES = {
+    # Winner (0, 4): an upward row walk gives (3, 2), and the column found
+    # in a neighbouring row gives (0, 0).
+    "first-row-last-column": _tie_window(5, [(0, 4), (1, 0), (3, 2)]),
+    # Winner (1, 0): NaN loses to any number; an upward column walk gives (1, 1).
+    "nan-row-above-tied-row": _nan_row_above_tied_row(),
+    # 144 offsets take the int32 path. Winner (3, 2): within the row, ahead
+    # of (3, 5) and (3, 11), and across rows, ahead of (7, 0) and (11, 11).
+    "12x12-tie-across-rows": _tie_window(12, [(3, 11), (3, 5), (3, 2), (7, 0), (11, 11)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_WINNER_CASES))
+def test_maxpool_backward_first_winner_hand_cases(case):
+    x = FIRST_WINNER_CASES[case]
+    win = x.shape[1]
+    dy = np.full((1, 1, 1, 1), 1.5)
+    dx = maxpool_backward(dy, x, PoolSpec(win, win))
+    # The oracle picks the first cell of a window even when it is NaN; a
+    # running maximum with a strict >, which the pool follows, never picks NaN.
+    expected = maxpool_backward_naive(dy, np.where(np.isnan(x), -np.inf, x), win, win, "none")
+    assert dx.tobytes() == expected.tobytes()
+    assert np.count_nonzero(dx) == 1
 
 
 @st.composite
