@@ -79,12 +79,19 @@ def affine_forward(x: np.ndarray, p: AffineParams) -> np.ndarray:
 
 
 def affine_backward(dy: np.ndarray, x: np.ndarray, p: AffineParams):
+    """(dx, dW, db): ``affine_input_grad``, then ``affine_param_grads``."""
+    return affine_input_grad(dy, x, p), *affine_param_grads(dy, x)
+
+
+def affine_input_grad(dy: np.ndarray, x: np.ndarray, p: AffineParams) -> np.ndarray:
     if dy.shape != (x.shape[0], p.W.shape[0]):
         raise ValueError(f"affine gradient {dy.shape} does not match W {p.W.shape}, x {x.shape}")
-    dx = dy @ p.W
-    dW = dy.T @ x
-    db = dy.sum(axis=0)
-    return dx, dW, db
+    return dy @ p.W
+
+
+def affine_param_grads(dy: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dW, db), from the upstream gradient and the layer's input."""
+    return dy.T @ x, dy.sum(axis=0)
 
 
 def _sample_blocks(batch: int, bytes_per_sample: int) -> list[slice]:

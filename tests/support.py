@@ -12,10 +12,16 @@ from emocnn import NetworkConfig, Prng, build_model, encode_dialogue
 from emocnn.checkpoint import MAGIC
 from emocnn.layers import (
     DropoutSpec,
+    PoolSpec,
+    affine_backward,
     affine_forward,
+    conv2d_backward,
     conv2d_forward,
+    dropout_backward,
     dropout_forward,
+    maxpool_backward,
     relu,
+    relu_backward,
     softmax_cross_entropy,
 )
 from emocnn.text import SEQUENCE_LENGTH, alphabet_ordinal, remap
@@ -223,6 +229,68 @@ def composed_loss(model, x, labels, mode="test", rng=None):
     for w in (model.augmentation.W, *(c.filters for c in model.convs), *(fc.W for fc in model.fcs)):
         loss += model.config.l2_strength * float(np.vdot(w, w))
     return loss
+
+
+def composed_grads(model, x, labels, mode="test", rng=None):
+    """Reference (loss, grads): ``composed_forward`` keeping each layer's
+    input, then a backward unrolled by hand from the layer functions. Each
+    layer's gradients are computed whole (``affine_backward``,
+    ``conv2d_backward``) when the walk reaches it, and enter ``grads`` in
+    that order, fc3 first, weight before bias; the L2 term comes last."""
+    cfg = model.config
+    n = len(x)
+    hidden = DropoutSpec(cfg.dropout_keep_hidden)
+    x0, _ = dropout_forward(x, DropoutSpec(cfg.dropout_keep_input), mode, rng)
+    h = np.reshape(affine_forward(x0, model.augmentation), (n, cfg.aug_side, cfg.aug_side, cfg.aug_channels))
+    specs = [PoolSpec(5, 1, "same")] * (len(cfg.conv_groups) - 1) + [PoolSpec(2, 2, "none")]
+    conv_in, conv_out, pool_in = [], [], []
+    convs = iter(model.convs)
+    for group, spec in zip(cfg.conv_groups, specs):
+        for _ in group:
+            conv_in.append(h)
+            h = relu(conv2d_forward(h, next(convs)))
+            conv_out.append(h)
+        pool_in.append(h)
+        h = maxpool_forward_naive(h, spec.window, spec.stride, spec.padding)
+    pooled_shape = h.shape
+    h = np.reshape(h, (n, -1), order="C")
+    fc_in, fc_out, masks = [], [], []
+    for fc in model.fcs[:-1]:
+        fc_in.append(h)
+        fc_out.append(relu(affine_forward(h, fc)))
+        h, mask = dropout_forward(fc_out[-1], hidden, mode, rng)
+        masks.append(mask)
+    fc_in.append(h)
+    loss, _, g = softmax_cross_entropy(affine_forward(h, model.fcs[-1]), labels)
+
+    grads = {}
+    for i in reversed(range(len(model.fcs))):
+        if i < len(model.fcs) - 1:
+            if mode == "train":  # test-mode dropout is the identity
+                g = dropout_backward(g, masks[i], hidden)
+            g = relu_backward(g, fc_out[i])
+        g, grads[f"fc{i + 1}.W"], grads[f"fc{i + 1}.b"] = affine_backward(g, fc_in[i], model.fcs[i])
+    g = np.reshape(g, pooled_shape)
+    k = len(model.convs)
+    for group, spec, p_in in reversed(list(zip(cfg.conv_groups, specs, pool_in))):
+        g = maxpool_backward(g, p_in, spec)
+        for _ in group:
+            g = relu_backward(g, conv_out[k - 1])
+            g, grads[f"conv{k}.filters"], grads[f"conv{k}.bias"] = conv2d_backward(
+                g, conv_in[k - 1], model.convs[k - 1]
+            )
+            k -= 1
+    g = np.reshape(g, (n, -1))
+    _, grads["augmentation.W"], grads["augmentation.b"] = affine_backward(g, x0, model.augmentation)
+
+    l2 = cfg.l2_strength
+    weights = {"augmentation.W": model.augmentation.W}
+    weights.update({f"conv{i}.filters": c.filters for i, c in enumerate(model.convs, start=1)})
+    weights.update({f"fc{i}.W": fc.W for i, fc in enumerate(model.fcs, start=1)})
+    for name, w in weights.items() if l2 != 0.0 else ():
+        loss += l2 * float(np.vdot(w, w))
+        grads[name] = grads[name] + (2.0 * l2) * w
+    return loss, grads
 
 
 def tiny_config(**overrides) -> NetworkConfig:

@@ -22,6 +22,7 @@ from emocnn.tensor import FLAT_BLOCK, Prng
 
 from support import (
     composed_forward,
+    composed_grads,
     composed_loss,
     numeric_gradient,
     randomized_tiny_model,
@@ -265,6 +266,52 @@ def test_variant_b_test_mode_matches_hand_composition():
     assert loss_and_grads(model, x, y, mode="test")[0] == composed_loss(model, x, y)
 
 
+GRAD_CASES = {
+    "two-groups-float32-train": (
+        lambda: randomized_tiny_model(
+            45, dtype=np.float32, conv_groups=((3,), (4, 2)), aug_side=16, input_len=7, fc_sizes=(16, 5),
+            dropout_keep_input=0.8, dropout_keep_hidden=0.7,
+        ),
+        "train",
+    ),
+    "two-groups-float64-test": (
+        lambda: randomized_tiny_model(46, conv_groups=((3,), (4, 2)), aug_side=16, input_len=7, fc_sizes=(16, 5)),
+        "test",
+    ),
+    "variant-b-float64-test": (
+        lambda: build_model(NetworkConfig.for_variant("B", init_std=0.05), Prng(47), dtype=np.float64),
+        "test",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAD_CASES))
+def test_gradients_match_the_hand_unrolled_backward_bit_for_bit(case):
+    make_model, mode = GRAD_CASES[case]
+    model = make_model()
+    n = model.config.input_len
+    x = Prng(48).uniform(4 * n).reshape(4, n).astype(model.dtype)
+    y = np.array([4, 0, 2, 1])
+    loss, grads = loss_and_grads(model, x, y, mode=mode, rng=Prng(49))
+    want_loss, want = composed_grads(model, x, y, mode=mode, rng=Prng(49))
+    assert loss == want_loss
+    assert list(grads) == list(want)
+    for name, g in grads.items():
+        assert g.dtype == want[name].dtype and g.tobytes() == want[name].tobytes(), name
+
+
+def test_loss_and_grads_peak_memory_is_about_its_gradients(served_b):
+    # The affine weight gradients, fc1's 37.7 MB above all, are computed
+    # after the conv activations are freed. Measured: 4 MB above the
+    # gradients (44 MB when fc1's gradient was made as the replay reached it).
+    x = network.scale_codes(_codes(32, 50), np.float32)
+    y = np.arange(32) % 5
+    grads = {}
+    peak = traced_peak(lambda: grads.update(loss_and_grads(served_b, x, y, mode="train", rng=Prng(51))[1]))
+    grad_bytes = sum(g.nbytes for g in grads.values())
+    assert peak <= grad_bytes + 8e6, f"peak {peak / 1e6:.1f} MB, gradients {grad_bytes / 1e6:.1f} MB"
+
+
 def test_predict_uniform_on_zero_model():
     model = allocate_model(tiny_config())
     label, probs = predict(model, np.zeros(5, dtype=np.uint8))
@@ -381,9 +428,10 @@ def test_predict_batch_labels_do_not_depend_on_the_chunk(served_b):
 
 
 def test_predict_batch_peak_memory_at_the_default_chunk(served_b):
-    # About 20 MB at 32 rows: the layer outputs and one im2col block, no tape.
+    # 20.3 MB at 32 rows (numpy 2.4): the layer outputs and one 8 MiB im2col
+    # block, no tape. The bound leaves 20% for other numpy versions.
     peak = traced_peak(predict_batch, served_b, _codes(64, 36))
-    assert peak <= 128e6, f"peak {peak / 1e6:.0f} MB"
+    assert peak <= 24e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_build_model_holds_no_full_size_temporaries():
