@@ -109,6 +109,9 @@ def sweep_configs(
 ) -> list[ConfigSweepRow]:
     """Train each variant under an identical seed, budget and L2 strength;
     report held-out accuracy and wall time per variant."""
+    variants = list(variants)
+    if not variants:
+        raise ValueError("variant list must be non-empty")
     rows = []
     for variant in variants:
         config = NetworkConfig.for_variant(variant, l2_strength=l2_strength)

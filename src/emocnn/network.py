@@ -63,6 +63,11 @@ FLATTEN_WIDTH = 9216  # 6 * 6 * 256, the FC head's input width
 _PARAMS = {"augmentation": AffineParams, "conv": ConvParams, "fc": AffineParams}
 
 
+def _is_a(value, kinds) -> bool:
+    """isinstance, except that a bool is no int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def compute_augmentation_size(s_output: int, n_layers: int, s_filter: int, stride: int) -> int:
     """Square side the augmentation layer must produce so that ``n_layers``
     valid convolutions leave ``s_output``."""
@@ -86,6 +91,39 @@ class NetworkConfig:
     l2_strength: float = 1.5e-4
     init_mean: float = 0.0
     init_std: float = 0.01
+
+    def __post_init__(self):
+        """Every config that can be built is one allocate_model accepts, in
+        the JSON types config_to_dict writes: sizes are ints, the real fields
+        finite ints or floats, and the variant a string or None. Bools are
+        neither."""
+        groups, fcs = self.conv_groups, self.fc_sizes
+        if not (isinstance(groups, tuple) and all(isinstance(g, tuple) for g in groups) and isinstance(fcs, tuple)):
+            raise ValueError(f"conv_groups must be a tuple of tuples and fc_sizes a tuple, got {groups!r}, {fcs!r}")
+        sizes = (self.input_len, self.aug_side, self.aug_channels, *self.channel_plan, *fcs)
+        if not (self.channel_plan and fcs) or not all(_is_a(s, int) and s >= 1 for s in sizes):
+            raise ValueError(f"layer sizes must be positive ints, with at least one conv and one fc layer: {sizes}")
+        for name in ("dropout_keep_input", "dropout_keep_hidden", "l2_strength", "init_mean", "init_std"):
+            value = getattr(self, name)
+            if not (_is_a(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not (self.variant is None or isinstance(self.variant, str)):
+            raise ValueError(f"variant must be a string or None, got {self.variant!r}")
+        if fcs[-1] != N_CLASSES:
+            raise ValueError(f"the last fc layer has {fcs[-1]} units, expected {N_CLASSES}")
+        DropoutSpec(self.dropout_keep_input)  # raises unless keep is in (0, 1]
+        DropoutSpec(self.dropout_keep_hidden)
+        if self.l2_strength < 0:
+            raise ValueError(f"l2_strength must be >= 0, got {self.l2_strength}")
+        self.spatial_trace()  # raises on dimension underflow
+        if self.variant is not None:
+            if len(self.channel_plan) != 5:
+                raise ValueError(f"variant {self.variant} must have 5 conv layers, got {len(self.channel_plan)}")
+            if self.flatten_width() != FLATTEN_WIDTH:
+                raise ValueError(
+                    f"variant {self.variant}: conv output flattens to {self.flatten_width()}, "
+                    f"expected {FLATTEN_WIDTH}"
+                )
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "NetworkConfig":
@@ -179,33 +217,10 @@ def _named(layer: str, params) -> list[tuple[str, np.ndarray]]:
     return [(f"{layer}.{f.name}", getattr(params, f.name)) for f in fields(params)]
 
 
-def _validate_config(config: NetworkConfig) -> None:
-    sizes = (config.input_len, config.aug_side, config.aug_channels, *config.channel_plan, *config.fc_sizes)
-    if not (config.channel_plan and config.fc_sizes) or min(sizes) < 1:
-        raise ValueError(f"layer sizes must be positive, with at least one conv and one fc layer: {sizes}")
-    if config.fc_sizes[-1] != N_CLASSES:
-        raise ValueError(f"the last fc layer has {config.fc_sizes[-1]} units, expected {N_CLASSES}")
-    DropoutSpec(config.dropout_keep_input)  # raises unless keep is in (0, 1]
-    DropoutSpec(config.dropout_keep_hidden)
-    if not config.l2_strength >= 0:
-        raise ValueError(f"l2_strength must be >= 0, got {config.l2_strength}")
-    config.spatial_trace()  # raises on dimension underflow
-    if config.variant is not None:
-        if len(config.channel_plan) != 5:
-            raise ValueError(f"variant {config.variant} must have 5 conv layers, got {len(config.channel_plan)}")
-        if config.flatten_width() != FLATTEN_WIDTH:
-            raise ValueError(
-                f"variant {config.variant}: conv output flattens to {config.flatten_width()}, "
-                f"expected {FLATTEN_WIDTH}"
-            )
-
-
 def _parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter, in ``Model.named_parameters()``
     order: the layer plan walked with no array allocated, so a checkpoint's
-    directory can be checked before its model is. Raises ValueError unless
-    the config is valid."""
-    _validate_config(config)
+    directory can be checked before its model is."""
     shapes = []
     in_ch, in_dim = config.aug_channels, config.flatten_width()
     for name, kind, arg in config.layer_plan():
@@ -403,21 +418,17 @@ def predict_batch(model: Model, codes: np.ndarray, batch_size: int = 32) -> np.n
 
 
 def config_to_dict(config: NetworkConfig) -> dict:
-    d = asdict(config)
-    d["conv_groups"] = [list(g) for g in config.conv_groups]
-    d["fc_sizes"] = list(config.fc_sizes)
-    return d
+    """The config's JSON form; json.dumps writes its tuples as arrays."""
+    return asdict(config)
 
 
 def config_from_dict(d: dict) -> NetworkConfig:
-    """Config from its JSON form. Raises ValueError unless allocate_model
-    accepts it."""
-    d = dict(d)
+    """Config from its JSON form. Raises ValueError, TypeError or KeyError
+    unless that is an object whose fields build a NetworkConfig."""
+    d = {**d}  # a JSON object; a list of pairs is not one
     # Checkpoints from when the filter size was a config field record it.
     if d.pop("filter_size", layers.FILTER_SIZE) != layers.FILTER_SIZE:
         raise ValueError(f"conv filters are fixed at {layers.FILTER_SIZE}x{layers.FILTER_SIZE}")
-    d["conv_groups"] = tuple(tuple(int(c) for c in g) for g in d["conv_groups"])
-    d["fc_sizes"] = tuple(int(s) for s in d["fc_sizes"])
-    config = NetworkConfig(**d)
-    _validate_config(config)
-    return config
+    d["conv_groups"] = tuple(map(tuple, d["conv_groups"]))
+    d["fc_sizes"] = tuple(d["fc_sizes"])
+    return NetworkConfig(**d)

@@ -1,6 +1,7 @@
 """Mini-batch Adam training with hold-out validation."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batches_per_epoch < 1:
             raise ValueError(f"batches_per_epoch must be >= 1, got {self.batches_per_epoch}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
 

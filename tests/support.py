@@ -411,6 +411,23 @@ CHECKPOINT_META_FAULTS = {
     # The directory is left alone, so only the shapes the config implies
     # disagree with it; allocating them would need tens of GB.
     "oversized-fc-size": lambda meta: meta["config"].update(fc_sizes=[1_000_000_000, 5]),
+    # Fields of another JSON type than the saved config's.
+    "bool-aug-side": lambda meta: meta["config"].update(aug_side=True),
+    "float-input-len": lambda meta: meta["config"].update(input_len=5.0),
+    "bool-dropout-keep": lambda meta: meta["config"].update(dropout_keep_hidden=True),
+    "null-l2-strength": lambda meta: meta["config"].update(l2_strength=None),
+    "list-init-std": lambda meta: meta["config"].update(init_std=[0.01]),
+    "int-variant": lambda meta: meta["config"].update(variant=5),
+    "string-conv-group": lambda meta: meta["config"].update(conv_groups=[[3], "ab"]),
+    "flat-conv-groups": lambda meta: meta["config"].update(conv_groups=[3]),
+    "string-fc-sizes": lambda meta: meta["config"].update(fc_sizes="45"),
+    "object-fc-sizes": lambda meta: meta["config"].update(fc_sizes={"4": 5}),
+    "bool-fc-size": lambda meta: meta["config"].update(fc_sizes=[True, 5]),
+    "unknown-field": lambda meta: meta["config"].update(kernel_size=5),
+    "config-as-pairs": lambda meta: meta.update(config=list(meta["config"].items())),
+    # json writes these as NaN and Infinity, and reads them back.
+    "nan-init-std": lambda meta: meta["config"].update(init_std=float("nan")),
+    "infinite-init-mean": lambda meta: meta["config"].update(init_mean=float("inf")),
 }
 
 

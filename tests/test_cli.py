@@ -226,6 +226,16 @@ def test_divergent_training_exits_3(tmp_path, data_tsv):
     assert code == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_exits_1(tmp_path, capsys, data_tsv, lr):
+    out = tmp_path / "m.ckpt"
+    args = _train_args(data_tsv, out)
+    args[args.index("--lr") + 1] = lr
+    assert main(args) == EXIT_USAGE
+    assert "learning_rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_params_cli(tmp_path, data_tsv):
     out = tmp_path / "grid.csv"
     code = main([
@@ -254,6 +264,14 @@ def test_sweep_config_cli(tmp_path, data_tsv):
     lines = out.read_text().splitlines()
     assert lines[0] == "variant,val_top1,seconds"
     assert lines[1].startswith("A,") and lines[2].startswith("B,")
+
+
+def test_sweep_config_without_variants_exits_1(tmp_path, capsys, data_tsv):
+    out = tmp_path / "variants.csv"
+    code = main(["sweep-config", "--data", data_tsv, "--variants", ",,", "--epochs", "0", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "variant list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _raise_unexpected(*args, **kwargs):

@@ -117,9 +117,26 @@ def test_unknown_variant_rejected():
 
 
 def test_underflow_config_rejected():
-    cfg = NetworkConfig(variant=None, conv_groups=((4,), (4,)), aug_side=8, input_len=5)
     with pytest.raises(ValueError, match="smaller than"):
-        cfg.spatial_trace()
+        NetworkConfig(variant=None, conv_groups=((4,), (4,)), aug_side=8, input_len=5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NetworkConfig.for_variant("B", init_std=float("inf")),
+        lambda: NetworkConfig.for_variant("B", init_mean=float("nan")),
+        lambda: NetworkConfig.for_variant("B", dropout_keep_hidden=True),
+        lambda: NetworkConfig.for_variant("B", input_len=144.0),
+        lambda: dataclasses.replace(tiny_config(), aug_side=np.int64(6)),
+        lambda: dataclasses.replace(tiny_config(), conv_groups=[[3]]),
+        lambda: dataclasses.replace(tiny_config(), fc_sizes=[4, 5]),
+        lambda: dataclasses.replace(tiny_config(), variant=b"B"),
+    ],
+)
+def test_config_of_a_bad_type_or_non_finite_cannot_be_built(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_variant_b_parameter_count():
