@@ -1,13 +1,16 @@
 """Command-line interface.
 
 Subcommands: preprocess, train, eval, predict, sweep-config, sweep-params.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical fault,
-4 internal error (any other exception; a bug, reported in one line).
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical fault (a
+non-finite loss, gradient, parameter or probability), 4 internal error (any
+other exception; a bug, reported in one line).
 """
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .atomic import atomic_write
 from .checkpoint import CheckpointConfigError, CheckpointError, load_checkpoint, save_checkpoint
@@ -54,12 +57,12 @@ def _parse_grid(text: str):
 
 def _add_train_flags(p):
     p.add_argument("--variant", choices=VARIANTS, default="B")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=5e-6)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--l2", type=float, default=NetworkConfig.l2_strength)
-    p.add_argument("--batches", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-fraction", type=float, default=0.2)
+    p.add_argument("--batches", type=int, default=TrainConfig.batches_per_epoch)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--eval-fraction", type=float, default=TrainConfig.eval_fraction)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,6 +177,8 @@ def cmd_predict(args) -> int:
     model = _load_model(args)
     stops = load_stop_words(args.stopwords) if args.stopwords else ()
     label, probs = predict(model, encode_dialogue(args.text, stops))
+    if not np.isfinite(probs).all():
+        raise NumericalFault(f"{args.ckpt}: non-finite class probabilities")
     print(label.name.lower() + " " + " ".join(f"{p:.6f}" for p in probs))
     return EXIT_OK
 
@@ -223,7 +228,11 @@ def main(argv=None) -> int:
     if text is not None:
         args.text = text
     try:
-        return args.func(args)
+        # numpy's floating-point warnings are silenced: the commands check
+        # for non-finite values themselves, so a filter that turns warnings
+        # into errors cannot change the exit code.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except NumericalFault as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

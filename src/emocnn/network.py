@@ -18,13 +18,13 @@ import math
 from dataclasses import dataclass, asdict, fields
 from functools import partial
 from operator import methodcaller
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from . import layers
 from .labels import EmotionLabel, N_CLASSES
 from .layers import (
+    FILTER_SIZE,
     AffineParams,
     ConvParams,
     DropoutSpec,
@@ -58,9 +58,6 @@ VARIANTS = tuple(CONV_GROUPS)
 POOL_SAME = PoolSpec(window=5, stride=1, padding="same")
 POOL_REDUCE = PoolSpec(window=2, stride=2, padding="none")
 FLATTEN_WIDTH = 9216  # 6 * 6 * 256, the FC head's input width
-
-# Parameters of each weighted layer kind: an L2-penalized weight, then a bias.
-_PARAMS = {"augmentation": AffineParams, "conv": ConvParams, "fc": AffineParams}
 
 
 def _is_a(value, kinds) -> bool:
@@ -115,15 +112,12 @@ class NetworkConfig:
         DropoutSpec(self.dropout_keep_hidden)
         if self.l2_strength < 0:
             raise ValueError(f"l2_strength must be >= 0, got {self.l2_strength}")
-        self.spatial_trace()  # raises on dimension underflow
+        width = self.flatten_width()  # raises on dimension underflow
         if self.variant is not None:
             if len(self.channel_plan) != 5:
                 raise ValueError(f"variant {self.variant} must have 5 conv layers, got {len(self.channel_plan)}")
-            if self.flatten_width() != FLATTEN_WIDTH:
-                raise ValueError(
-                    f"variant {self.variant}: conv output flattens to {self.flatten_width()}, "
-                    f"expected {FLATTEN_WIDTH}"
-                )
+            if width != FLATTEN_WIDTH:
+                raise ValueError(f"variant {self.variant}: conv output flattens to {width}, not {FLATTEN_WIDTH}")
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "NetworkConfig":
@@ -153,25 +147,31 @@ class NetworkConfig:
             plan.append((f"pool{gi}", "pool", POOL_REDUCE if gi == len(self.conv_groups) else POOL_SAME))
         return plan + [(f"fc{i}", "fc", units) for i, units in enumerate(self.fc_sizes, start=1)]
 
+    def _walk(self) -> Iterator[tuple[str, str, object, tuple[int, ...], tuple[int, ...]]]:
+        """(name, kind, arg, in_shape, out_shape) for every layer of the
+        plan, each shape per sample. Raises if any layer underflows."""
+        shape = (self.input_len,)
+        for name, kind, arg in self.layer_plan():
+            if kind == "conv":
+                if shape[0] < FILTER_SIZE:
+                    raise ValueError(
+                        f"{name}: conv input side {shape[0]} smaller than {FILTER_SIZE}x{FILTER_SIZE} filter"
+                    )
+                out = (shape[0] - FILTER_SIZE + 1,) * 2 + (arg,)
+            elif kind == "pool":
+                out = (*_pool_geometry(shape[0], shape[1], arg)[:2], shape[2])
+            else:
+                out = arg if kind == "augmentation" else (arg,)
+            yield name, kind, arg, shape, out
+            shape = out
+
     def spatial_trace(self) -> list[int]:
         """Spatial side after the augmentation reshape and after every
         conv and pool, in order. Raises if any layer underflows."""
-        trace = [self.aug_side]
-        for name, kind, arg in self.layer_plan():
-            side = trace[-1]
-            if kind == "conv":
-                if side < layers.FILTER_SIZE:
-                    raise ValueError(
-                        f"{name}: conv input side {side} smaller than "
-                        f"{layers.FILTER_SIZE}x{layers.FILTER_SIZE} filter"
-                    )
-                trace.append(side - layers.FILTER_SIZE + 1)
-            elif kind == "pool":
-                trace.append(_pool_geometry(side, side, arg)[0])
-        return trace
+        return [out[0] for _, kind, _, _, out in self._walk() if kind != "fc"]
 
     def flatten_width(self) -> int:
-        return self.spatial_trace()[-1] ** 2 * self.channel_plan[-1]
+        return next(math.prod(shape) for _, kind, _, shape, _ in self._walk() if kind == "fc")
 
 
 @dataclass
@@ -186,11 +186,8 @@ class Model:
     def _layers(self) -> list[tuple[str, str, object, object]]:
         """(name, kind, arg, params) for every layer of the config's plan;
         params is None for a pool."""
-        params = {"augmentation": iter([self.augmentation]), "conv": iter(self.convs), "fc": iter(self.fcs)}
-        return [
-            (name, kind, arg, next(params[kind]) if kind in params else None)
-            for name, kind, arg in self.config.layer_plan()
-        ]
+        params, plan = iter([self.augmentation, *self.convs, *self.fcs]), self.config.layer_plan()
+        return [(name, kind, arg, None if kind == "pool" else next(params)) for name, kind, arg in plan]
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) per parameter, in plan order, weights before bias."""
@@ -217,36 +214,31 @@ def _named(layer: str, params) -> list[tuple[str, np.ndarray]]:
     return [(f"{layer}.{f.name}", getattr(params, f.name)) for f in fields(params)]
 
 
-def _parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every parameter, in ``Model.named_parameters()``
-    order: the layer plan walked with no array allocated, so a checkpoint's
-    directory can be checked before its model is."""
-    shapes = []
-    in_ch, in_dim = config.aug_channels, config.flatten_width()
-    for name, kind, arg in config.layer_plan():
-        if kind == "augmentation":
-            pair = (math.prod(arg), config.input_len), (math.prod(arg),)
-        elif kind == "conv":
-            pair = (arg, layers.FILTER_SIZE, layers.FILTER_SIZE, in_ch), (arg,)
-            in_ch = arg
-        elif kind == "fc":
-            pair = (arg, in_dim), (arg,)
-            in_dim = arg
+def _weighted_layers(config: NetworkConfig):
+    """(name, parameter class, (weight shape, bias shape)) per weighted
+    layer, in plan order. A weight's shape comes from the shapes on either
+    side of its layer; its bias has one value per output row or channel."""
+    for name, kind, _, in_shape, out_shape in config._walk():
+        if kind == "conv":
+            cls, weight = ConvParams, (out_shape[-1], FILTER_SIZE, FILTER_SIZE, in_shape[-1])
+        elif kind != "pool":
+            cls, weight = AffineParams, (math.prod(out_shape), math.prod(in_shape))
         else:
             continue
-        shapes += [(f"{name}.{f.name}", shape) for f, shape in zip(fields(_PARAMS[kind]), pair)]
-    return shapes
+        yield name, cls, (weight, weight[:1])
+
+
+def _parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) per parameter, in ``Model.named_parameters()`` order,
+    with nothing allocated, so a checkpoint's directory is checked first."""
+    weighted = _weighted_layers(config)
+    return [(f"{name}.{f.name}", shape) for name, cls, shapes in weighted for f, shape in zip(fields(cls), shapes)]
 
 
 def allocate_model(config: NetworkConfig, dtype=DEFAULT_DTYPE) -> Model:
     """Model with zero-filled parameters (checkpoint loading, tests)."""
-    arrays = {name: np.zeros(shape, dtype=dtype) for name, shape in _parameter_shapes(config)}
-    built = {kind: [] for kind in _PARAMS}
-    for layer, kind, _ in config.layer_plan():
-        if kind in _PARAMS:
-            cls = _PARAMS[kind]
-            built[kind].append(cls(*(arrays[f"{layer}.{f.name}"] for f in fields(cls))))
-    return Model(config, built["augmentation"][0], built["conv"], built["fc"])
+    aug, *params = [cls(*(np.zeros(s, dtype=dtype) for s in shapes)) for _, cls, shapes in _weighted_layers(config)]
+    return Model(config, aug, params[: len(config.channel_plan)], params[len(config.channel_plan) :])
 
 
 def build_model(config: NetworkConfig, rng: Prng, dtype=DEFAULT_DTYPE) -> Model:
@@ -312,18 +304,18 @@ def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, r
     h, _ = dropout_forward(batch, DropoutSpec(cfg.dropout_keep_input), mode, rng)
     plan = model._layers()
     for i, (name, kind, arg, p) in enumerate(plan):
-        if kind == "augmentation":
-            h = reshape(weighted(affine_forward, _affine_step, h, name, p), (len(h), *arg))
-        elif kind == "conv":
+        if kind == "conv":
             h = rectify(weighted(conv2d_forward, _conv_step, h, name, p))
         elif kind == "pool":
             push((partial(maxpool_backward, x=h, spec=arg), ()))
             h = maxpool_forward(h, arg)
-        else:
-            if h.ndim == 4:  # NHWC, flattened row-major for the first fc
+        else:  # the augmentation and the fc head are affine
+            if h.ndim != 2:  # NHWC, flattened row-major for the first fc
                 h = reshape(h, (len(h), -1))
             h = weighted(affine_forward, _affine_step, h, name, p)
-            if i < len(plan) - 1:
+            if kind == "augmentation":
+                h = reshape(h, (len(h), *arg))
+            elif i < len(plan) - 1:
                 h, mask = dropout_forward(rectify(h), drop_hidden, mode, rng)
                 if hidden_dropout:
                     push((partial(dropout_backward, mask=mask, spec=drop_hidden), ()))
@@ -423,12 +415,19 @@ def config_to_dict(config: NetworkConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> NetworkConfig:
-    """Config from its JSON form. Raises ValueError, TypeError or KeyError
-    unless that is an object whose fields build a NetworkConfig."""
+    """Config from its JSON form. Raises ValueError or TypeError unless
+    that is an object whose fields build a NetworkConfig."""
     d = {**d}  # a JSON object; a list of pairs is not one
     # Checkpoints from when the filter size was a config field record it.
-    if d.pop("filter_size", layers.FILTER_SIZE) != layers.FILTER_SIZE:
-        raise ValueError(f"conv filters are fixed at {layers.FILTER_SIZE}x{layers.FILTER_SIZE}")
-    d["conv_groups"] = tuple(map(tuple, d["conv_groups"]))
-    d["fc_sizes"] = tuple(d["fc_sizes"])
+    if d.pop("filter_size", FILTER_SIZE) != FILTER_SIZE:
+        raise ValueError(f"conv filters are fixed at {FILTER_SIZE}x{FILTER_SIZE}")
+    for name, expected, as_tuple in (
+        ("conv_groups", "a list of lists of ints", lambda v: tuple(map(tuple, v))),
+        ("fc_sizes", "a list of ints", tuple),
+    ):
+        try:
+            d[name] = as_tuple(d[name])
+        except (KeyError, TypeError):
+            got = f"got {d[name]!r}" if name in d else "it is missing"
+            raise ValueError(f"{name} must be {expected}; {got}") from None
     return NetworkConfig(**d)

@@ -20,7 +20,14 @@ ADAM_EPSILON = 1e-8
 
 
 class NumericalFault(Exception):
-    """A loss or gradient stopped being finite."""
+    """A loss, gradient, parameter or probability stopped being finite."""
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite. A finite sum of squares
+    proves it; finite values can overflow that sum too, so only a
+    non-finite sum takes the exact scan."""
+    return bool(np.isfinite(np.vdot(a, a)) or np.isfinite(a).all())
 
 
 @dataclass
@@ -80,9 +87,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         arrays = (params[name], state.m[name], state.v[name])
         if any(a.shape != g.shape or not a.flags.c_contiguous for a in arrays):
             raise ValueError(f"{name}: gradient, parameter and moments need one shape, C-contiguous")
-        # A finite sum of squares proves every value finite. Finite values
-        # can overflow it too, so only a non-finite sum takes the exact scan.
-        if not np.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
+        if not _all_finite(g):
             raise NumericalFault(f"non-finite gradient in {name}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
@@ -146,9 +151,9 @@ def train(model: Model, dataset, config: TrainConfig):
     """Run epochs x batches_per_epoch Adam steps over the training split.
 
     ``dataset`` is (codes [N,144] byte values, labels [N]); inputs are scaled
-    to [0,1] here. The L2 strength is the model config's. Validation top-1
-    on the held-out split is logged after every epoch. Fully deterministic
-    under config.seed.
+    to [0,1] here. The L2 strength is the model config's. After every
+    epoch the parameters are checked finite, and validation top-1 on the
+    held-out split is logged. Fully deterministic under config.seed.
     """
     codes, labels = dataset
     codes = np.asarray(codes)
@@ -179,6 +184,9 @@ def train(model: Model, dataset, config: TrainConfig):
             adam_step(params, grads, state)
             del grads  # so the next step's gradients are the only set alive
             log.steps.append((step, float(loss)))
+        for name, p in params.items():
+            if not _all_finite(p):
+                raise NumericalFault(f"non-finite parameter {name} after step {step}")
         if len(eval_idx):
             log.val_top1.append((epoch, _validation_accuracy(model, codes[eval_idx], y[eval_idx])))
     return model, log

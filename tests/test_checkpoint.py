@@ -165,6 +165,29 @@ def test_bad_metadata_raises_config_or_shape_error(tmp_path, case):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda config: config.pop("conv_groups"), "conv_groups must be a list of lists of ints; it is missing"),
+        (lambda config: config.update(conv_groups=[3]), "conv_groups must be a list of lists of ints; got [3]"),
+        (
+            lambda config: config.update(conv_groups=[[3], 4]),
+            "conv_groups must be a list of lists of ints; got [[3], 4]",
+        ),
+        (lambda config: config.pop("fc_sizes"), "fc_sizes must be a list of ints; it is missing"),
+        (lambda config: config.update(fc_sizes=5), "fc_sizes must be a list of ints; got 5"),
+    ],
+    ids=["missing-conv-groups", "flat-conv-groups", "int-in-conv-groups", "missing-fc-sizes", "int-fc-sizes"],
+)
+def test_config_fault_names_its_field(tmp_path, edit, message):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(12), path)
+    rewrite_checkpoint_meta(path, lambda meta: edit(meta["config"]))
+    with pytest.raises(CheckpointConfigError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: bad network config: {message}"
+
+
 def test_recorded_filter_size_5_still_loads(tmp_path):
     model = _small_model(11)
     path = tmp_path / "m.ckpt"

@@ -226,6 +226,37 @@ def test_divergent_training_exits_3(tmp_path, data_tsv):
     assert code == EXIT_NUMERIC
 
 
+def test_non_finite_parameters_exit_3_without_a_checkpoint(tmp_path, capsys, data_tsv):
+    # One step at this rate makes the parameters inf and NaN; the epoch's
+    # parameter check stops the run before it validates or saves. No
+    # warnings filter here: numpy's own warnings must not set the exit code.
+    out = tmp_path / "m.ckpt"
+    args = _train_args(data_tsv, out)
+    args[args.index("--lr") + 1] = "1e300"
+    args[args.index("--batches") + 1] = "1"
+    assert main(args) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == "numerical fault: non-finite parameter augmentation.W after step 1\n"
+    assert not out.exists()
+
+
+def test_predict_with_an_overflowing_forward_exits_3(tmp_path, capsys):
+    # Finite weights, but far too large for float32 activations.
+    ckpt = tmp_path / "model.ckpt"
+    model = build_model(tiny_config(input_len=144), Prng(0), dtype=np.float32)
+    for _, p in model.named_parameters():
+        p[...] = 1e30
+    save_checkpoint(model, ckpt)
+    assert main(["predict", "--ckpt", str(ckpt), "--text", "丁"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("numerical fault:")
+
+
+def test_train_flag_defaults_are_the_train_config_defaults():
+    args = cli.build_parser().parse_args(["train", "--data", "d.tsv", "--out", "m.ckpt"])
+    assert cli._train_config(args) == training.TrainConfig()
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 def test_non_finite_learning_rate_exits_1(tmp_path, capsys, data_tsv, lr):
     out = tmp_path / "m.ckpt"

@@ -111,6 +111,21 @@ def test_parameter_names_and_order_agree_everywhere(case):
         assert grads[name].shape == params[name].shape, name
 
 
+def test_variant_b_parameter_shapes():
+    # Written out by hand, so that a transposed or misplaced shape shows.
+    assert network._parameter_shapes(NetworkConfig.for_variant("B")) == [
+        ("augmentation.W", (3072, 144)), ("augmentation.b", (3072,)),
+        ("conv1.filters", (32, 5, 5, 3)), ("conv1.bias", (32,)),
+        ("conv2.filters", (64, 5, 5, 32)), ("conv2.bias", (64,)),
+        ("conv3.filters", (64, 5, 5, 64)), ("conv3.bias", (64,)),
+        ("conv4.filters", (128, 5, 5, 64)), ("conv4.bias", (128,)),
+        ("conv5.filters", (256, 5, 5, 128)), ("conv5.bias", (256,)),
+        ("fc1.W", (1024, 9216)), ("fc1.b", (1024,)),
+        ("fc2.W", (1024, 1024)), ("fc2.b", (1024,)),
+        ("fc3.W", (5, 1024)), ("fc3.b", (5,)),
+    ]
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         NetworkConfig.for_variant("E")
