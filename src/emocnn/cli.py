@@ -2,8 +2,8 @@
 
 Subcommands: preprocess, train, eval, predict, sweep-config, sweep-params.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical fault (a
-non-finite loss, gradient, parameter or probability), 4 internal error (any
-other exception; a bug, reported in one line).
+non-finite loss, gradient, parameter or logit), 4 internal error (any other
+exception; a bug, reported in one line).
 """
 from __future__ import annotations
 
@@ -55,14 +55,19 @@ def _parse_grid(text: str):
     return cells
 
 
-def _add_train_flags(p):
-    p.add_argument("--variant", choices=VARIANTS, default="B")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--l2", type=float, default=NetworkConfig.l2_strength)
-    p.add_argument("--batches", type=int, default=TrainConfig.batches_per_epoch)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--eval-fraction", type=float, default=TrainConfig.eval_fraction)
+def _add_train_flags(p, *unread):
+    """The training flags, less those in ``unread``, which the command sets itself."""
+    for flag, kwargs in (
+        ("--variant", dict(choices=VARIANTS, default="B")),
+        ("--epochs", dict(type=int, default=TrainConfig.epochs)),
+        ("--lr", dict(type=float, default=TrainConfig.learning_rate)),
+        ("--l2", dict(type=float, default=NetworkConfig.l2_strength)),
+        ("--batches", dict(type=int, default=TrainConfig.batches_per_epoch)),
+        ("--seed", dict(type=int, default=TrainConfig.seed)),
+        ("--eval-fraction", dict(type=float, default=TrainConfig.eval_fraction)),
+    ):
+        if flag not in unread:
+            p.add_argument(flag, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,11 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("sweep-config", help="compare variants under one budget")
+    # No abbreviations here, or train's --variant would pass for --variants.
+    p = sub.add_parser("sweep-config", help="compare variants under one budget", allow_abbrev=False)
     p.add_argument("--data", required=True)
     p.add_argument("--stopwords")
     p.add_argument("--variants", default="A,B,C,D")
-    _add_train_flags(p)
+    _add_train_flags(p, "--variant")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_config)
 
@@ -108,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--stopwords")
     p.add_argument("--grid", type=_parse_grid, required=True)
-    _add_train_flags(p)
+    _add_train_flags(p, "--lr", "--l2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_params)
     return parser
@@ -133,7 +139,7 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs,
         batches_per_epoch=args.batches,
-        learning_rate=args.lr,
+        learning_rate=getattr(args, "lr", TrainConfig.learning_rate),  # sweep-params sets it per cell
         seed=args.seed,
         eval_fraction=args.eval_fraction,
     )
@@ -177,8 +183,6 @@ def cmd_predict(args) -> int:
     model = _load_model(args)
     stops = load_stop_words(args.stopwords) if args.stopwords else ()
     label, probs = predict(model, encode_dialogue(args.text, stops))
-    if not np.isfinite(probs).all():
-        raise NumericalFault(f"{args.ckpt}: non-finite class probabilities")
     print(label.name.lower() + " " + " ".join(f"{p:.6f}" for p in probs))
     return EXIT_OK
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -10,6 +10,7 @@ from .atomic import atomic_write
 from .labels import LABEL_NAMES, N_CLASSES
 from .network import NetworkConfig, build_model, predict_batch
 from .tensor import Prng
+from .text import DataError
 from .training import TrainConfig, TrainLog, split_encoded, train
 
 
@@ -40,7 +41,7 @@ def report_from_predictions(preds, truths) -> EvalReport:
     confusion = confusion_matrix(preds, truths)
     n = int(confusion.sum())
     if n == 0:
-        raise ValueError("cannot evaluate an empty dataset")
+        raise DataError("cannot evaluate an empty dataset")
     row_sums = confusion.sum(axis=1)
     per_class = {
         LABEL_NAMES[i]: float(confusion[i, i] / row_sums[i])
@@ -62,21 +63,24 @@ def evaluate(model, dataset) -> EvalReport:
     to predicted class indices (useful for baselines).
     """
     codes, truths = dataset
-    if len(codes) == 0:
-        raise ValueError("cannot evaluate an empty dataset")
     preds = model(codes) if callable(model) else predict_batch(model, codes)
     return report_from_predictions(preds, truths)
+
+
+def _write_csv(path, rows) -> None:
+    """One line of comma-joined cells per row, headers included, through
+    ``atomic_write``; floats in repr, which ``float`` reads back exactly."""
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write(",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n")
 
 
 def report_to_csv(report: EvalReport, path) -> None:
     """Rows of ``class,examples,top1`` plus a final overall row."""
     row_sums = report.confusion.sum(axis=1)
-    with atomic_write(path) as fh:
-        fh.write("class,examples,top1\n")
-        for i, name in enumerate(LABEL_NAMES):
-            if name in report.per_class_top1:
-                fh.write(f"{name},{int(row_sums[i])},{report.per_class_top1[name]!r}\n")
-        fh.write(f"overall,{report.n_examples},{report.overall_top1!r}\n")
+    per_class = [(name, int(row_sums[i]), report.per_class_top1[name])
+                 for i, name in enumerate(LABEL_NAMES) if name in report.per_class_top1]
+    _write_csv(path, [("class", "examples", "top1"), *per_class, ("overall", report.n_examples, report.overall_top1)])
 
 
 @dataclass
@@ -116,7 +120,7 @@ def sweep_configs(
     for variant in variants:
         config = NetworkConfig.for_variant(variant, l2_strength=l2_strength)
         top1, seconds = _train_and_score(config, dataset, budget)
-        rows.append(ConfigSweepRow(variant=str(variant).upper(), val_top1=top1, seconds=seconds))
+        rows.append(ConfigSweepRow(variant=config.variant, val_top1=top1, seconds=seconds))
     return rows
 
 
@@ -135,28 +139,16 @@ def sweep_params(dataset, grid, budget: TrainConfig, variant: str = "B") -> list
 
 
 def config_sweep_to_csv(rows: list[ConfigSweepRow], path) -> None:
-    with atomic_write(path) as fh:
-        fh.write("variant,val_top1,seconds\n")
-        for r in rows:
-            fh.write(f"{r.variant},{r.val_top1!r},{r.seconds!r}\n")
+    _write_csv(path, [[f.name for f in fields(ConfigSweepRow)], *map(astuple, rows)])
 
 
 def param_sweep_to_csv(rows: list[ParamSweepRow], path) -> None:
-    with atomic_write(path) as fh:
-        fh.write("learning_rate,l2_strength,val_top1\n")
-        for r in rows:
-            fh.write(f"{r.learning_rate!r},{r.l2_strength!r},{r.val_top1!r}\n")
+    _write_csv(path, [[f.name for f in fields(ParamSweepRow)], *map(astuple, rows)])
 
 
 def export_curve(log: TrainLog, path) -> None:
     """Loss-per-step then validation-per-epoch sections, as plain CSV."""
-    with atomic_write(path) as fh:
-        fh.write("step,loss\n")
-        for step, loss in log.steps:
-            fh.write(f"{step},{loss!r}\n")
-        fh.write("epoch,val_top1\n")
-        for epoch, acc in log.val_top1:
-            fh.write(f"{epoch},{acc!r}\n")
+    _write_csv(path, [("step", "loss"), *log.steps, ("epoch", "val_top1"), *log.val_top1])
 
 
 def parse_curve(path) -> TrainLog:

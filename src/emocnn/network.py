@@ -43,7 +43,7 @@ from .layers import (
     softmax_cross_entropy,
     _pool_geometry,
 )
-from .tensor import DEFAULT_DTYPE, FLAT_BLOCK, Prng, flat_blocks, gaussian_init
+from .tensor import DEFAULT_DTYPE, FLAT_BLOCK, NumericalFault, Prng, _all_finite, flat_blocks, gaussian_init
 from .text import SEQUENCE_LENGTH
 
 # Conv channel widths per group; each group is followed by one max pool.
@@ -73,9 +73,10 @@ def compute_augmentation_size(s_output: int, n_layers: int, s_filter: int, strid
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture description. ``for_variant`` builds the canonical A-D
-    shapes; direct construction permits small custom stacks for testing.
-    Every conv filter is 5x5 (``layers.FILTER_SIZE``)."""
+    """Architecture description. A named variant (A-D) is its CONV_GROUPS
+    entry, which ``for_variant`` fills in; with variant None, direct
+    construction permits small custom stacks for testing. Every conv filter
+    is 5x5 (``layers.FILTER_SIZE``)."""
 
     variant: Optional[str]
     conv_groups: tuple[tuple[int, ...], ...]
@@ -92,11 +93,15 @@ class NetworkConfig:
     def __post_init__(self):
         """Every config that can be built is one allocate_model accepts, in
         the JSON types config_to_dict writes: sizes are ints, the real fields
-        finite ints or floats, and the variant a string or None. Bools are
-        neither."""
+        finite ints or floats, and the variant None or one of ``VARIANTS``
+        with its conv groups. Bools are neither ints nor floats."""
         groups, fcs = self.conv_groups, self.fc_sizes
         if not (isinstance(groups, tuple) and all(isinstance(g, tuple) for g in groups) and isinstance(fcs, tuple)):
             raise ValueError(f"conv_groups must be a tuple of tuples and fc_sizes a tuple, got {groups!r}, {fcs!r}")
+        if not (self.variant is None or self.variant in VARIANTS):
+            raise ValueError(f"variant must be None or one of {', '.join(VARIANTS)}, got {self.variant!r}")
+        if self.variant is not None and groups != CONV_GROUPS[self.variant]:
+            raise ValueError(f"variant {self.variant} has conv groups {CONV_GROUPS[self.variant]}, got {groups}")
         sizes = (self.input_len, self.aug_side, self.aug_channels, *self.channel_plan, *fcs)
         if not (self.channel_plan and fcs) or not all(_is_a(s, int) and s >= 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive ints, with at least one conv and one fc layer: {sizes}")
@@ -104,27 +109,23 @@ class NetworkConfig:
             value = getattr(self, name)
             if not (_is_a(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not (self.variant is None or isinstance(self.variant, str)):
-            raise ValueError(f"variant must be a string or None, got {self.variant!r}")
         if fcs[-1] != N_CLASSES:
             raise ValueError(f"the last fc layer has {fcs[-1]} units, expected {N_CLASSES}")
         DropoutSpec(self.dropout_keep_input)  # raises unless keep is in (0, 1]
         DropoutSpec(self.dropout_keep_hidden)
-        if self.l2_strength < 0:
-            raise ValueError(f"l2_strength must be >= 0, got {self.l2_strength}")
+        for name in ("l2_strength", "init_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         width = self.flatten_width()  # raises on dimension underflow
-        if self.variant is not None:
-            if len(self.channel_plan) != 5:
-                raise ValueError(f"variant {self.variant} must have 5 conv layers, got {len(self.channel_plan)}")
-            if width != FLATTEN_WIDTH:
-                raise ValueError(f"variant {self.variant}: conv output flattens to {width}, not {FLATTEN_WIDTH}")
+        # for_variant takes aug_side and input_len overrides
+        if self.variant is not None and width != FLATTEN_WIDTH:
+            raise ValueError(f"variant {self.variant}: conv output flattens to {width}, not {FLATTEN_WIDTH}")
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "NetworkConfig":
         variant = str(variant).upper()
-        if variant not in CONV_GROUPS:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}")
-        return cls(variant=variant, conv_groups=CONV_GROUPS[variant], **overrides)
+        # __post_init__ rejects an unknown variant.
+        return cls(variant=variant, conv_groups=CONV_GROUPS.get(variant, ()), **overrides)
 
     @property
     def channel_plan(self) -> tuple[int, ...]:
@@ -235,20 +236,20 @@ def _parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]
     return [(f"{name}.{f.name}", shape) for name, cls, shapes in weighted for f, shape in zip(fields(cls), shapes)]
 
 
+def _make_model(config: NetworkConfig, make_weight, dtype) -> Model:
+    """Model of weights ``make_weight(shape)`` and zero biases, each made once, in plan order."""
+    aug, *params = [cls(make_weight(w), np.zeros(b, dtype=dtype)) for _, cls, (w, b) in _weighted_layers(config)]
+    return Model(config, aug, params[: len(config.channel_plan)], params[len(config.channel_plan) :])
+
+
 def allocate_model(config: NetworkConfig, dtype=DEFAULT_DTYPE) -> Model:
     """Model with zero-filled parameters (checkpoint loading, tests)."""
-    aug, *params = [cls(*(np.zeros(s, dtype=dtype) for s in shapes)) for _, cls, shapes in _weighted_layers(config)]
-    return Model(config, aug, params[: len(config.channel_plan)], params[len(config.channel_plan) :])
+    return _make_model(config, partial(np.zeros, dtype=dtype), dtype)
 
 
 def build_model(config: NetworkConfig, rng: Prng, dtype=DEFAULT_DTYPE) -> Model:
     """Gaussian-initialized model (weights N(mean, std), biases zero)."""
-    model = allocate_model(config, dtype=dtype)
-    mean, std = config.init_mean, config.init_std
-    params = model.parameters()
-    for name in model.weight_names():
-        params[name][...] = gaussian_init(params[name].shape, mean, std, rng, dtype=dtype)
-    return model
+    return _make_model(config, lambda s: gaussian_init(s, config.init_mean, config.init_std, rng, dtype), dtype)
 
 
 def _affine_step(dy: np.ndarray, x: np.ndarray, p: AffineParams):
@@ -386,12 +387,21 @@ def scale_codes(codes, dtype) -> np.ndarray:
     return (np.asarray(codes, dtype=np.float64) / 255.0).astype(dtype)
 
 
+def _finite_logits(model: Model, x: np.ndarray, rows: str) -> np.ndarray:
+    """Test-mode logits of ``x``. Raises NumericalFault unless they are all
+    finite, since argmax would read a NaN row as class 0."""
+    logits = forward(model, x, mode="test")
+    if not _all_finite(logits):
+        raise NumericalFault(f"non-finite logits for {rows}")
+    return logits
+
+
 def predict(model: Model, seq) -> tuple[EmotionLabel, np.ndarray]:
     """Classify one 144-byte sequence. Ties resolve to the lowest index."""
     x = scale_codes(seq, model.dtype)
     if x.shape != (model.config.input_len,):
         raise ValueError(f"sequence must have shape ({model.config.input_len},), got {x.shape}")
-    probs = softmax(forward(model, x.reshape(1, -1), mode="test"))[0]
+    probs = softmax(_finite_logits(model, x.reshape(1, -1), "the sequence"))[0]
     return EmotionLabel(int(np.argmax(probs))), probs
 
 
@@ -400,11 +410,13 @@ def predict_batch(model: Model, codes: np.ndarray, batch_size: int = 32) -> np.n
     ``batch_size`` rows. The layer outputs grow with the chunk; the conv
     im2col columns do not, since ``conv2d_forward`` builds them in blocks
     of at most 8 MB. The GEMMs' low bits, and so near-tied labels, can
-    differ between chunk sizes."""
+    differ between chunk sizes. Raises NumericalFault if a chunk's logits
+    are not all finite."""
     x = scale_codes(codes, model.dtype)
     out = np.empty(len(x), dtype=np.int64)
     for start in range(0, len(x), batch_size):
-        logits = forward(model, x[start : start + batch_size], mode="test")
+        rows = x[start : start + batch_size]
+        logits = _finite_logits(model, rows, f"rows {start} to {start + len(rows) - 1}")
         out[start : start + batch_size] = logits.argmax(axis=1)
     return out
 

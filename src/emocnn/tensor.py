@@ -34,6 +34,17 @@ def flat_blocks(*arrays):
         yield tuple(f[lo : lo + FLAT_BLOCK] for f in flats)
 
 
+class NumericalFault(Exception):
+    """A loss, gradient, parameter or logit stopped being finite."""
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite. A finite sum of squares
+    proves it; finite values can overflow that sum too, so only a
+    non-finite sum takes the exact scan."""
+    return bool(np.isfinite(np.vdot(a, a)) or np.isfinite(a).all())
+
+
 def _unit_float(draws: np.ndarray) -> np.ndarray:
     """Raw draws as float64 in [0, 1), from the top 53 bits of each."""
     return (draws >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

@@ -35,8 +35,9 @@ _WIDTH_SHIFT = np.zeros(0x80, dtype=np.int64)
 _WIDTH_SHIFT[0x30:0x3A] = _WIDTH_SHIFT[0x41:0x5B] = _WIDTH_SHIFT[0x61:0x7B] = 0xFEE0
 
 
-class DataError(Exception):
-    """Malformed dataset or stop-word input."""
+class DataError(ValueError):
+    """Malformed dataset or stop-word input, or a dataset too small for its
+    use."""
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import Model, loss_and_grads, predict_batch, scale_codes
-from .tensor import FLAT_BLOCK, Prng, flat_blocks
-from .text import split_dataset
+from .tensor import FLAT_BLOCK, NumericalFault, Prng, _all_finite, flat_blocks
+from .text import DataError, split_dataset
 
 # Offset so the shuffle/dropout stream never aliases the split stream,
 # which is seeded with the bare seed.
@@ -17,17 +17,6 @@ _TRAIN_STREAM_OFFSET = 0x5EED
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-
-
-class NumericalFault(Exception):
-    """A loss, gradient, parameter or probability stopped being finite."""
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every value of ``a`` is finite. A finite sum of squares
-    proves it; finite values can overflow that sum too, so only a
-    non-finite sum takes the exact scan."""
-    return bool(np.isfinite(np.vdot(a, a)) or np.isfinite(a).all())
 
 
 @dataclass
@@ -163,7 +152,7 @@ def train(model: Model, dataset, config: TrainConfig):
     counts = np.bincount(labels, minlength=1)
     present = counts[counts > 0]
     if len(present) == 0 or present.min() < 2:
-        raise ValueError("every class present in the dataset needs at least 2 examples")
+        raise DataError("every class present in the dataset needs at least 2 examples")
 
     train_idx, eval_idx = split_encoded(codes, labels, config.eval_fraction, config.seed)
     x = scale_codes(codes, model.dtype)

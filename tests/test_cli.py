@@ -322,3 +322,79 @@ def test_unexpected_exception_exits_4_in_one_line(tmp_path, data_tsv, tiny_ckpt,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("internal error: RuntimeError(")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("sweep-config", ["--variants", "A", "--variant", "C"]),
+        ("sweep-params", ["--grid", "5e-6:1.5e-4", "--lr", "nan"]),
+        ("sweep-params", ["--grid", "5e-6:1.5e-4", "--l2", "0"]),
+    ],
+)
+def test_sweep_flags_the_command_never_reads_exit_1(tmp_path, data_tsv, command, flags):
+    # sweep-config sets the variant from --variants, and sweep-params the
+    # rate and the L2 strength from --grid.
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", data_tsv, *flags, "--epochs", "0", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_train_whose_validation_overflows_exits_3_without_a_checkpoint(tmp_path, capsys, data_tsv):
+    # One step at this rate leaves finite parameters whose forward overflows;
+    # NaN logits are no labels, so the run ends at its validation.
+    out = tmp_path / "m.ckpt"
+    argv = ["train", "--data", data_tsv, "--lr", "1e30", "--epochs", "1", "--batches", "1", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical fault: non-finite logits")
+    assert not out.exists()
+
+
+def test_eval_of_an_overflowing_forward_exits_3_without_a_report(tmp_path, capsys, data_tsv):
+    ckpt, report = tmp_path / "model.ckpt", tmp_path / "r.csv"
+    model = build_model(tiny_config(input_len=144), Prng(0), dtype=np.float32)
+    for _, p in model.named_parameters():
+        p[...] = 1e30
+    save_checkpoint(model, ckpt)
+    assert main(["eval", "--data", data_tsv, "--ckpt", str(ckpt), "--report", str(report)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical fault: non-finite logits")
+    assert not report.exists()
+
+
+def test_eval_on_an_empty_data_file_exits_2(tmp_path, capsys, tiny_ckpt):
+    data, report = tmp_path / "empty.tsv", tmp_path / "r.csv"
+    data.write_text("")
+    assert main(["eval", "--data", str(data), "--ckpt", tiny_ckpt, "--report", str(report)]) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: cannot evaluate an empty dataset\n"
+    assert not report.exists()
+
+
+def _rows_of_two_classes(data_tsv, per_class):
+    """The first ``per_class`` rows of each of two classes of ``data_tsv``."""
+    lines = open(data_tsv, encoding="utf-8").read().splitlines()
+    labels = sorted({line.split("\t")[0] for line in lines})[:2]
+    return [[line for line in lines if line.startswith(label + "\t")][:n] for label, n in zip(labels, per_class)]
+
+
+def test_a_class_with_one_example_exits_2(tmp_path, capsys, data_tsv):
+    data, out = tmp_path / "one.tsv", tmp_path / "m.ckpt"
+    many, one = _rows_of_two_classes(data_tsv, (2, 1))
+    data.write_text("\n".join(many + one) + "\n", encoding="utf-8")
+    assert main(_train_args(str(data), out)) == EXIT_DATA
+    assert "at least 2 examples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_more_batches_than_training_rows_exits_1(tmp_path, capsys, data_tsv):
+    # A budget the training split cannot fill: the flags, not the file, are
+    # what to change.
+    data, out = tmp_path / "four.tsv", tmp_path / "m.ckpt"
+    first, second = _rows_of_two_classes(data_tsv, (2, 2))
+    data.write_text("\n".join(first + second) + "\n", encoding="utf-8")  # 3 training rows, 1 held out
+    args = _train_args(str(data), out)
+    args[args.index("--batches") + 1] = "4"
+    assert main(args) == EXIT_USAGE
+    assert "cannot make 4 batches from 3 examples" in capsys.readouterr().err
+    assert not out.exists()

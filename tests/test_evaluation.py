@@ -3,9 +3,14 @@ import numpy.testing as npt
 import pytest
 
 from emocnn.evaluation import (
+    ConfigSweepRow,
+    EvalReport,
+    ParamSweepRow,
+    config_sweep_to_csv,
     confusion_matrix,
     evaluate,
     export_curve,
+    param_sweep_to_csv,
     parse_curve,
     report_from_predictions,
     report_to_csv,
@@ -13,6 +18,7 @@ from emocnn.evaluation import (
     sweep_params,
 )
 from emocnn.labels import LABEL_NAMES
+from emocnn.text import DataError
 from emocnn.training import TrainConfig, TrainLog
 
 from support import make_marker_dataset, randomized_tiny_model
@@ -173,3 +179,46 @@ def test_sweep_configs_zero_epoch_budget():
         assert row.seconds >= 0.0
     again = sweep_configs((codes, labels), ["A", "B"], budget)
     assert [r.val_top1 for r in rows] == [r.val_top1 for r in again]
+
+
+# Each CSV writer on fixed inputs, byte for byte. Floats are written with
+# repr: 1/3 keeps all 17 digits and 7e-300 its exponent.
+CSV_GOLDEN = {
+    "report_to_csv": (
+        lambda path: report_to_csv(
+            EvalReport(
+                overall_top1=1 / 3,
+                per_class_top1={"positive": 1 / 3, "wondering": 7e-300},
+                confusion=np.diag([3, 0, 2, 0, 0]),
+                n_examples=5,
+            ),
+            path,
+        ),
+        "class,examples,top1\npositive,3,0.3333333333333333\nwondering,2,7e-300\noverall,5,0.3333333333333333\n",
+    ),
+    "config_sweep_to_csv": (
+        lambda path: config_sweep_to_csv([ConfigSweepRow("A", 1 / 3, 7e-300), ConfigSweepRow("D", 1.0, 2.5)], path),
+        "variant,val_top1,seconds\nA,0.3333333333333333,7e-300\nD,1.0,2.5\n",
+    ),
+    "param_sweep_to_csv": (
+        lambda path: param_sweep_to_csv([ParamSweepRow(5e-6, 1.5e-4, 1 / 3), ParamSweepRow(1e-5, 0.0, 7e-300)], path),
+        "learning_rate,l2_strength,val_top1\n5e-06,0.00015,0.3333333333333333\n1e-05,0.0,7e-300\n",
+    ),
+    "export_curve": (
+        lambda path: export_curve(TrainLog(steps=[(1, 1 / 3), (2, 7e-300)], val_top1=[(1, 0.1), (2, 2 / 3)]), path),
+        "step,loss\n1,0.3333333333333333\n2,7e-300\nepoch,val_top1\n1,0.1\n2,0.6666666666666666\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(CSV_GOLDEN))
+def test_csv_writer_golden_bytes(tmp_path, writer):
+    write, expected = CSV_GOLDEN[writer]
+    out = tmp_path / "out.csv"
+    write(out)
+    assert out.read_bytes() == expected.encode()
+
+
+def test_empty_dataset_is_a_data_error():
+    with pytest.raises(DataError, match="empty dataset"):
+        evaluate(lambda x: np.zeros(len(x), dtype=np.int64), (np.zeros((0, 144)), np.zeros(0)))

@@ -19,6 +19,7 @@ from emocnn.network import (
     predict_batch,
 )
 from emocnn.tensor import FLAT_BLOCK, Prng
+from emocnn.training import NumericalFault
 
 from support import (
     composed_forward,
@@ -472,3 +473,58 @@ def test_build_model_holds_no_full_size_temporaries():
     param_bytes = sum(p.nbytes for _, p in allocate_model(config).named_parameters())
     peak = traced_peak(build_model, config, Prng(37))
     assert peak <= 2.5 * param_bytes, f"peak {peak / param_bytes:.2f}x the parameter bytes"
+
+
+def test_build_model_peak_is_about_its_parameters():
+    # Each tensor is made once, in place: no zero-filled model to overwrite.
+    config = NetworkConfig.for_variant("B")
+    param_bytes = sum(p.nbytes for _, p in allocate_model(config).named_parameters())
+    peak = traced_peak(build_model, config, Prng(37))
+    assert peak <= 1.2 * param_bytes, f"peak {peak / param_bytes:.2f}x the parameter bytes"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NetworkConfig(variant="B", conv_groups=CONV_GROUPS["D"]),
+        lambda: NetworkConfig(variant="Z", conv_groups=CONV_GROUPS["B"]),
+        lambda: dataclasses.replace(NetworkConfig.for_variant("A"), conv_groups=CONV_GROUPS["C"]),
+    ],
+)
+def test_a_named_variant_is_its_conv_groups(make):
+    with pytest.raises(ValueError, match="variant"):
+        make()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_named_variant_builds(variant):
+    config = NetworkConfig.for_variant(variant.lower())
+    assert config.variant == variant and config.conv_groups == CONV_GROUPS[variant]
+
+
+def test_negative_init_std_is_rejected_when_the_config_is_built():
+    with pytest.raises(ValueError, match="init_std"):
+        NetworkConfig.for_variant("B", init_std=-0.01)
+    build_model(NetworkConfig.for_variant("B", init_std=0.0), Prng(0))  # zero is a valid std
+
+
+def _overflowing_model():
+    # Finite weights, but far too large for float32 activations.
+    model = build_model(tiny_config(input_len=144), Prng(0), dtype=np.float32)
+    for _, p in model.named_parameters():
+        p[...] = 1e30
+    return model
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda m: predict_batch(m, _codes(40, 52)), lambda m: predict(m, _codes(1, 53)[0])],
+    ids=["predict_batch", "predict"],
+)
+def test_non_finite_logits_raise_instead_of_labelling(call):
+    model = _overflowing_model()
+    with np.errstate(all="ignore"):
+        x = network.scale_codes(_codes(2, 54), np.float32)
+        assert not np.isfinite(forward(model, x)).all()  # forward stays unchecked
+        with pytest.raises(NumericalFault, match="non-finite logits"):
+            call(model)
