@@ -32,6 +32,7 @@ import numpy as np
 from .atomic import atomic_write
 from .labels import LABEL_NAMES
 from .network import Model, NetworkConfig, allocate_model, config_from_dict, config_to_dict, _parameter_shapes
+from .tensor import NumericalFault, _all_finite
 
 MAGIC = b"EMON"
 VERSION = 1
@@ -87,7 +88,15 @@ def _directory(config: NetworkConfig) -> list[dict]:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Write the model's parameters as float32, bit-exactly recoverable."""
+    """Write the model's parameters as float32, bit-exactly recoverable.
+    Raises NumericalFault, writing nothing, if a parameter is not finite
+    as float32."""
+    # A float64 value beyond float32's range becomes inf here, and is caught.
+    with np.errstate(over="ignore"):
+        tensors = [(name, np.ascontiguousarray(p, dtype="<f4")) for name, p in model.named_parameters()]
+    for name, t in tensors:
+        if not _all_finite(t):
+            raise NumericalFault(f"non-finite parameter {name}: checkpoint not written")
     meta = {
         "config": config_to_dict(model.config),
         "labels": list(LABEL_NAMES),
@@ -97,8 +106,8 @@ def save_checkpoint(model: Model, path) -> None:
     with atomic_write(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
-        for _, param in model.named_parameters():
-            fh.write(np.ascontiguousarray(param, dtype="<f4"))
+        for _, t in tensors:
+            fh.write(t)
 
 
 def _read_metadata(path, fh):

@@ -6,6 +6,8 @@ layout. float32 is the training precision; gradient checks run in float64.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -16,9 +18,14 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 
-# Normals per block of Prng._normal_blocks: bounds the float64 and uint64
-# temporaries of a Gaussian init to a few MB whatever the tensor's size.
+# Normals per block of Prng._fill_normal: bounds the float64 and uint64
+# temporaries of a Gaussian init to a few MB a thread whatever the tensor's
+# size.
 _NORMAL_BLOCK = 1 << 16
+
+# Most threads of one block fill. Each holds about 1.5 MB of block
+# temporaries, so the fill's scratch stays a few MB whatever the machine.
+_MAX_FILL_THREADS = 4
 
 # Elements per block of flat_blocks: the scratch of a blocked elementwise
 # update (Adam, the L2 gradient) stays cache-sized whatever the tensor's size.
@@ -43,6 +50,48 @@ def _all_finite(a: np.ndarray) -> bool:
     proves it; finite values can overflow that sum too, so only a
     non-finite sum takes the exact scan."""
     return bool(np.isfinite(np.vdot(a, a)) or np.isfinite(a).all())
+
+
+def _fill_threads() -> int:
+    """Threads for a block fill: the CPUs this process may run on (its
+    affinity mask, where the platform has one), at most _MAX_FILL_THREADS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_FILL_THREADS)
+
+
+def _run_in_threads(task, items) -> None:
+    """``task(item)`` for every item of the sequence ``items``, on this
+    thread and up to ``_fill_threads() - 1`` more; thread w of W takes
+    items w, w + W, .... Every thread runs under the caller's numpy error
+    state. The threads are joined before this returns, and then the first
+    exception any of them raised is raised here. ``task`` must not depend
+    on the order in which items run."""
+    workers = max(1, min(_fill_threads(), len(items)))
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    errors = []
+
+    def work(share):
+        try:
+            with np.errstate(**errstate):
+                for item in share:
+                    task(item)
+        except BaseException as exc:  # raised in the caller, below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(items[w::workers],)) for w in range(1, workers)]
+    try:
+        for t in threads:
+            t.start()
+        work(items[::workers])
+    finally:
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    if errors:
+        raise errors[0]
 
 
 def _unit_float(draws: np.ndarray) -> np.ndarray:
@@ -91,32 +140,41 @@ class Prng:
         """``n`` float64 samples in [0, 1), using the top 53 bits per draw."""
         return _unit_float(self.raw(n))
 
-    def _normal_blocks(self, n: int):
-        """The next ``n`` standard normals (Box-Muller) as (start, values)
-        blocks of at most ``_NORMAL_BLOCK`` values, advancing the stream by
+    def _fill_normal(self, out: np.ndarray, std=None, mean=0.0) -> None:
+        """Fill the flat array ``out`` with the next ``n = out.size``
+        standard normals (Box-Muller), advancing the stream by
         2 * ceil(n / 2) draws. Pair k of the ceil(n / 2) pairs takes its two
         uniforms from draws k and ceil(n / 2) + k; its cosine is normal k
-        and its sine normal ceil(n / 2) + k, dropped when that is n. The
-        stream advances when the first block is drawn, so callers iterate
-        it at once."""
+        and its sine normal ceil(n / 2) + k, dropped when that is n. With
+        ``std`` given, normal z is stored as z * std + mean, computed in
+        float64 and rounded once to ``out``'s dtype.
+
+        Blocks of at most ``_NORMAL_BLOCK`` normals run through
+        ``_run_in_threads``. Each writes only its own slices of ``out``,
+        with the same operations on each element, so the values do not
+        depend on the number of threads."""
+        n = out.size
         half = (n + 1) // 2
         first = self._drawn
         self._drawn += 2 * half
-        for k in range(0, half, _NORMAL_BLOCK // 2):
+
+        def fill(k):
             pairs = min(_NORMAL_BLOCK // 2, half - k)
             u1 = _unit_float(self._draws(first + k, pairs))
             u2 = _unit_float(self._draws(first + half + k, pairs))
             # 1 - u1 is in (0, 1], so the log is finite.
             radius = np.sqrt(-2.0 * np.log1p(-u1))
             angle = (2.0 * math.pi) * u2
-            yield k, radius * np.cos(angle)
-            yield half + k, (radius * np.sin(angle))[: n - half - k]
+            for start, trig in ((k, np.cos), (half + k, np.sin)):
+                z = (radius * trig(angle))[: n - start]
+                out[start : start + len(z)] = z if std is None else z * std + mean
+
+        _run_in_threads(fill, range(0, half, _NORMAL_BLOCK // 2))
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal float64 samples via the Box-Muller transform."""
         out = np.empty(n)
-        for start, values in self._normal_blocks(n):
-            out[start : start + len(values)] = values
+        self._fill_normal(out)
         return out
 
     def permutation(self, n: int) -> np.ndarray:
@@ -146,7 +204,5 @@ def gaussian_init(shape, mean: float, std: float, rng: Prng, dtype=DEFAULT_DTYPE
     if std == 0:
         out.fill(float(mean))
     else:
-        # Scaled and shifted in float64, then rounded once into the result.
-        for start, z in rng._normal_blocks(size):
-            out[start : start + len(z)] = z * std + mean
+        rng._fill_normal(out, std, mean)
     return out.reshape(shape)

@@ -142,7 +142,9 @@ def train(model: Model, dataset, config: TrainConfig):
     ``dataset`` is (codes [N,144] byte values, labels [N]); inputs are scaled
     to [0,1] here. The L2 strength is the model config's. After every
     epoch the parameters are checked finite, and validation top-1 on the
-    held-out split is logged. Fully deterministic under config.seed.
+    held-out split is logged; with no held-out rows, the epoch's last batch
+    is classified instead, so a forward that overflows raises
+    NumericalFault either way. Fully deterministic under config.seed.
     """
     codes, labels = dataset
     codes = np.asarray(codes)
@@ -178,4 +180,8 @@ def train(model: Model, dataset, config: TrainConfig):
                 raise NumericalFault(f"non-finite parameter {name} after step {step}")
         if len(eval_idx):
             log.val_top1.append((epoch, _validation_accuracy(model, codes[eval_idx], y[eval_idx])))
+        else:
+            # Finite parameters can still overflow the forward; with no
+            # held-out rows, the last batch's forward is what shows it.
+            predict_batch(model, codes[idx])
     return model, log

@@ -17,7 +17,7 @@ from emocnn.checkpoint import (
     save_checkpoint,
 )
 from emocnn.network import build_model
-from emocnn.tensor import Prng
+from emocnn.tensor import NumericalFault, Prng
 
 from support import (
     CHECKPOINT_LAYOUT_FAULTS,
@@ -203,6 +203,16 @@ def test_float64_model_saves_as_float32(tmp_path):
     loaded = load_checkpoint(path)
     for (_, pa), (_, pb) in zip(model.named_parameters(), loaded.named_parameters()):
         npt.assert_array_equal(pa.astype(np.float32), pb)
+
+
+@pytest.mark.parametrize("dtype, value", [(np.float32, np.nan), (np.float32, -np.inf), (np.float64, 1e300)])
+def test_a_non_finite_parameter_is_not_saved(tmp_path, dtype, value):
+    # A float64 value beyond float32's range would be saved as inf.
+    model = build_model(tiny_config(), Prng(0), dtype=dtype)
+    dict(model.named_parameters())["conv1.bias"][1] = value
+    with pytest.raises(NumericalFault, match="conv1.bias"):
+        save_checkpoint(model, tmp_path / "m.ckpt")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", sorted(CHECKPOINT_LAYOUT_FAULTS))

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emocnn
 from emocnn import cli, training
 from emocnn.checkpoint import load_checkpoint, save_checkpoint
 from emocnn.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -352,6 +357,18 @@ def test_train_whose_validation_overflows_exits_3_without_a_checkpoint(tmp_path,
     assert not out.exists()
 
 
+def test_train_with_no_held_out_rows_exits_3_when_its_forward_overflows(tmp_path, capsys):
+    # Four rows at fraction 0.1 hold out round(0.4) = 0, so no validation
+    # runs; the step leaves finite parameters whose forward overflows.
+    data = write_marker_tsv(tmp_path / "data.tsv", n=4, seed=0, n_classes=2)
+    out = tmp_path / "m.ckpt"
+    argv = ["train", "--data", str(data), "--lr", "1e30", "--epochs", "1", "--batches", "1",
+            "--eval-fraction", "0.1", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical fault: non-finite logits")
+    assert [p.name for p in tmp_path.iterdir()] == ["data.tsv"]
+
+
 def test_eval_of_an_overflowing_forward_exits_3_without_a_report(tmp_path, capsys, data_tsv):
     ckpt, report = tmp_path / "model.ckpt", tmp_path / "r.csv"
     model = build_model(tiny_config(input_len=144), Prng(0), dtype=np.float32)
@@ -398,3 +415,13 @@ def test_more_batches_than_training_rows_exits_1(tmp_path, capsys, data_tsv):
     assert main(args) == EXIT_USAGE
     assert "cannot make 4 batches from 3 examples" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_importing_the_cli_leaves_out_concurrent_futures():
+    # Every emocnn predict process pays for its imports, and
+    # concurrent.futures brings logging with it.
+    src = str(Path(emocnn.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, emocnn.cli; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'logging'))))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert result.stdout == "[]\n"

@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from emocnn import checkpoint, network
+from emocnn import checkpoint, network, tensor
 from emocnn.labels import EmotionLabel
 from emocnn.network import (
     CONV_GROUPS,
@@ -177,6 +179,22 @@ def test_build_is_deterministic_under_seed():
     b = build_model(tiny_config(), Prng(11))
     for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
         npt.assert_array_equal(pa, pb)
+
+
+@pytest.mark.parametrize("threads", [None, 1, 3])
+def test_variant_b_initial_parameters_are_pinned(monkeypatch, threads):
+    # None draws on this machine's CPUs; the values hold for any count.
+    if threads is not None:
+        monkeypatch.setattr(tensor, "_fill_threads", lambda: threads)
+    before = threading.active_count()
+    model = build_model(NetworkConfig.for_variant("B"), Prng(0))
+    assert threading.active_count() == before
+    digest = hashlib.sha256()
+    for name, p in model.named_parameters():
+        digest.update(name.encode())
+        digest.update(str(p.dtype).encode())
+        digest.update(p.tobytes())
+    assert digest.hexdigest() == "fa76c388b723d39e233a6afeefdffe949de70364b7160125a55c311034028c7c"
 
 
 def test_biases_start_at_zero():

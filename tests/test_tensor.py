@@ -1,7 +1,11 @@
+import threading
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from emocnn import tensor
 from emocnn.tensor import _NORMAL_BLOCK, Prng, gaussian_init
 
 from support import normal_one_shot
@@ -82,3 +86,46 @@ def test_normal_blocks_equal_one_shot_box_muller(n):
         t = gaussian_init((n,), 0.3, 0.05, rng, dtype=dtype)
         assert t.dtype == dtype and t.tobytes() == (normal_one_shot(ref, n) * 0.05 + 0.3).astype(dtype).tobytes()
         assert rng._drawn == ref._drawn
+
+
+@pytest.mark.parametrize("threads", [1, 2, 7])
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, _NORMAL_BLOCK - 1, _NORMAL_BLOCK + 1, 2 * _NORMAL_BLOCK + 1, 7 * _NORMAL_BLOCK + 3]
+)
+def test_normal_fill_is_the_same_on_any_thread_count(monkeypatch, threads, n):
+    # 7 * _NORMAL_BLOCK + 3 normals make 8 blocks, so each of 7 threads has one.
+    monkeypatch.setattr(tensor, "_fill_threads", lambda: threads)
+    rng, ref = Prng(33), Prng(33)
+    rng.raw(5)
+    ref.raw(5)
+    assert rng.normal(n).tobytes() == normal_one_shot(ref, n).tobytes()
+    for dtype in (np.float32, np.float64):
+        t = gaussian_init((n,), 0.3, 0.05, rng, dtype=dtype)
+        assert t.tobytes() == (normal_one_shot(ref, n) * 0.05 + 0.3).astype(dtype).tobytes()
+    assert rng.raw(3).tobytes() == ref.raw(3).tobytes()
+
+
+def test_an_exception_in_a_fill_thread_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(tensor, "_fill_threads", lambda: 3)
+    unit_float = tensor._unit_float
+
+    def fail_off_the_calling_thread(draws):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("planted")
+        return unit_float(draws)
+
+    monkeypatch.setattr(tensor, "_unit_float", fail_off_the_calling_thread)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="planted"):
+        gaussian_init((3 * _NORMAL_BLOCK,), 0.0, 1.0, Prng(0))
+    assert threading.active_count() == before
+
+
+def test_fill_threads_keep_the_callers_numpy_error_state(monkeypatch):
+    # The float32 cast overflows in every block. Under the caller's "ignore"
+    # no thread warns; a thread on numpy's default state would.
+    monkeypatch.setattr(tensor, "_fill_threads", lambda: 3)
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        t = gaussian_init((3 * _NORMAL_BLOCK,), 0.0, 1e300, Prng(0))
+    assert np.isinf(t).all()
