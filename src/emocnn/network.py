@@ -43,7 +43,7 @@ from .layers import (
     softmax_cross_entropy,
     _pool_geometry,
 )
-from .tensor import DEFAULT_DTYPE, FLAT_BLOCK, NumericalFault, Prng, _all_finite, flat_blocks, gaussian_init
+from .tensor import DEFAULT_DTYPE, NumericalFault, Prng, _all_finite, flat_blocks, gaussian_init
 from .text import SEQUENCE_LENGTH
 
 # Conv channel widths per group; each group is followed by one max pool.
@@ -148,9 +148,11 @@ class NetworkConfig:
             plan.append((f"pool{gi}", "pool", POOL_REDUCE if gi == len(self.conv_groups) else POOL_SAME))
         return plan + [(f"fc{i}", "fc", units) for i, units in enumerate(self.fc_sizes, start=1)]
 
-    def _walk(self) -> Iterator[tuple[str, str, object, tuple[int, ...], tuple[int, ...]]]:
-        """(name, kind, arg, in_shape, out_shape) for every layer of the
-        plan, each shape per sample. Raises if any layer underflows."""
+    def _walk(self) -> Iterator[tuple[str, str, object, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+        """(name, kind, arg, in_shape, out_shape, weight_shape) for every
+        layer of the plan, each activation shape per sample. A conv's
+        weight is its filters, an affine's is (outputs, inputs), and a pool
+        has none: (). Raises if any layer underflows."""
         shape = (self.input_len,)
         for name, kind, arg in self.layer_plan():
             if kind == "conv":
@@ -159,20 +161,22 @@ class NetworkConfig:
                         f"{name}: conv input side {shape[0]} smaller than {FILTER_SIZE}x{FILTER_SIZE} filter"
                     )
                 out = (shape[0] - FILTER_SIZE + 1,) * 2 + (arg,)
+                weight = (arg, FILTER_SIZE, FILTER_SIZE, shape[-1])
             elif kind == "pool":
-                out = (*_pool_geometry(shape[0], shape[1], arg)[:2], shape[2])
+                out, weight = (*_pool_geometry(shape[0], shape[1], arg)[:2], shape[2]), ()
             else:
                 out = arg if kind == "augmentation" else (arg,)
-            yield name, kind, arg, shape, out
+                weight = (math.prod(out), math.prod(shape))
+            yield name, kind, arg, shape, out, weight
             shape = out
 
     def spatial_trace(self) -> list[int]:
         """Spatial side after the augmentation reshape and after every
         conv and pool, in order. Raises if any layer underflows."""
-        return [out[0] for _, kind, _, _, out in self._walk() if kind != "fc"]
+        return [out[0] for _, kind, _, _, out, _ in self._walk() if kind != "fc"]
 
     def flatten_width(self) -> int:
-        return next(math.prod(shape) for _, kind, _, shape, _ in self._walk() if kind == "fc")
+        return next(math.prod(shape) for _, kind, _, shape, _, _ in self._walk() if kind == "fc")
 
 
 @dataclass
@@ -217,16 +221,11 @@ def _named(layer: str, params) -> list[tuple[str, np.ndarray]]:
 
 def _weighted_layers(config: NetworkConfig):
     """(name, parameter class, (weight shape, bias shape)) per weighted
-    layer, in plan order. A weight's shape comes from the shapes on either
-    side of its layer; its bias has one value per output row or channel."""
-    for name, kind, _, in_shape, out_shape in config._walk():
-        if kind == "conv":
-            cls, weight = ConvParams, (out_shape[-1], FILTER_SIZE, FILTER_SIZE, in_shape[-1])
-        elif kind != "pool":
-            cls, weight = AffineParams, (math.prod(out_shape), math.prod(in_shape))
-        else:
-            continue
-        yield name, cls, (weight, weight[:1])
+    layer, in plan order, with the weight shape from ``_walk``. A bias has
+    one value per output row or channel."""
+    for name, kind, _, _, _, weight in config._walk():
+        if weight:
+            yield name, ConvParams if kind == "conv" else AffineParams, (weight, weight[:1])
 
 
 def _parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -372,13 +371,11 @@ def loss_and_grads(
 
 def _add_l2_gradients(grads: dict[str, np.ndarray], weights: dict[str, np.ndarray], l2: float) -> None:
     """``grads[name] += (2 * l2) * w`` for every weight, in place, over
-    ``tensor.flat_blocks`` through one block-sized scratch array. The
-    gradients must be C-contiguous."""
-    dtype = np.result_type(*weights.values())
-    scratch = np.empty(min(FLAT_BLOCK, max(w.size for w in weights.values())), dtype=dtype)
+    ``tensor.flat_blocks`` through its block-sized scratch. The gradients
+    must be C-contiguous."""
     for name, w in weights.items():
-        for gb, wb in flat_blocks(grads[name], w):
-            gb += np.multiply(wb, 2.0 * l2, out=scratch[: len(wb)])
+        for gb, wb, scratch in flat_blocks((grads[name], w), w.dtype):
+            gb += np.multiply(wb, 2.0 * l2, out=scratch)
 
 
 def scale_codes(codes, dtype) -> np.ndarray:

@@ -32,13 +32,18 @@ _MAX_FILL_THREADS = 4
 FLAT_BLOCK = 1 << 15
 
 
-def flat_blocks(*arrays):
+def flat_blocks(arrays, *scratch_dtypes):
     """Matching blocks of at most ``FLAT_BLOCK`` elements of the flattened
-    same-size ``arrays``, in order. An array written through its blocks must
-    be C-contiguous, so that its flattening is a view."""
+    same-size ``arrays``, in order, each followed by a block-length slice of
+    one scratch array per dtype of ``scratch_dtypes``. The scratch arrays
+    are made once per call and shared by every block. An array written
+    through its blocks must be C-contiguous, so that its flattening is a
+    view."""
     flats = [a.reshape(-1) for a in arrays]
+    scratch = [np.empty(min(FLAT_BLOCK, flats[0].size), dtype) for dtype in scratch_dtypes]
     for lo in range(0, flats[0].size, FLAT_BLOCK):
-        yield tuple(f[lo : lo + FLAT_BLOCK] for f in flats)
+        blocks = [f[lo : lo + FLAT_BLOCK] for f in flats]
+        yield (*blocks, *(s[: len(blocks[0])] for s in scratch))
 
 
 class NumericalFault(Exception):

@@ -160,9 +160,15 @@ def remove_stop_words(text: str, stops: Sequence[str]) -> str:
 
 def load_stop_words(path) -> tuple[str, ...]:
     """Read one stop word per line; blank lines and '#' comments are ignored."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         words = (line.strip() for line in fh)
         return tuple(dict.fromkeys(w for w in words if w and not w.startswith("#")))
+
+
+# The alphabet ordinal of every code point of the Basic Multilingual Plane,
+# which holds the whole alphabet, and -1 for every other character.
+_ORDINALS = np.full(0x10000, -1, dtype=np.int16)
+_ORDINALS[np.concatenate([np.arange(lo, hi + 1) for lo, hi in ALPHABET_RANGES])] = np.arange(ALPHABET_SIZE)
 
 
 def alphabet_ordinal(ch: str) -> Optional[int]:
@@ -171,12 +177,8 @@ def alphabet_ordinal(ch: str) -> Optional[int]:
     Returns None for characters outside the alphabet.
     """
     cp = ord(ch)
-    base = 0
-    for lo, hi in ALPHABET_RANGES:
-        if lo <= cp <= hi:
-            return base + cp - lo
-        base += hi - lo + 1
-    return None
+    ordinal = int(_ORDINALS[cp]) if cp < len(_ORDINALS) else -1
+    return ordinal if ordinal >= 0 else None
 
 
 def remap(ordinal: int) -> int:
@@ -186,19 +188,10 @@ def remap(ordinal: int) -> int:
     return ordinal % BYTE_RANGE
 
 
-def _code_table() -> np.ndarray:
-    """The byte code of every alphabet member, indexed by code point, and
-    -1 for every other character of the Basic Multilingual Plane, which
-    holds the whole alphabet."""
-    table = np.full(0x10000, -1, dtype=np.int16)
-    base = 0
-    for lo, hi in ALPHABET_RANGES:
-        table[lo : hi + 1] = np.arange(base, base + hi - lo + 1, dtype=np.int16) % BYTE_RANGE
-        base += hi - lo + 1
-    return table
-
-
-_CODE_TABLE = _code_table()
+# The byte code of every alphabet member, indexed by code point: ``remap``
+# of its ordinal. fmod takes the sign of the ordinal, so every other
+# character stays -1.
+_CODE_TABLE = np.fmod(_ORDINALS, BYTE_RANGE)
 
 
 # Dialogues encoded together. Their joined code points and temporaries
@@ -255,7 +248,7 @@ def encode_dialogue(text: str, stops: Sequence[str] = ()) -> np.ndarray:
 def load_dataset(path) -> list[RawDialogue]:
     """Parse a UTF-8 TSV of ``<label>\\t<text>`` records, one per line."""
     dialogues = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if not line:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import Model, loss_and_grads, predict_batch, scale_codes
-from .tensor import FLAT_BLOCK, NumericalFault, Prng, _all_finite, flat_blocks
+from .tensor import NumericalFault, Prng, _all_finite, flat_blocks
 from .text import DataError, split_dataset
 
 # Offset so the shuffle/dropout stream never aliases the split stream,
@@ -83,15 +83,9 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     alpha = state.learning_rate * np.sqrt(bc2) / bc1
     denom_eps = ADAM_EPSILON * np.sqrt(bc2)
-    size = min(FLAT_BLOCK, max((g.size for g in grads.values()), default=0))
-    scratch = {}  # (gradient dtype, moment dtype) -> the two scratch arrays
     for name, g in grads.items():
         m, v = state.m[name], state.v[name]
-        key = (g.dtype, v.dtype)
-        if key not in scratch:
-            scratch[key] = np.empty(size, g.dtype), np.empty(size, v.dtype)
-        for gb, mb, vb, pb in flat_blocks(g, m, v, params[name]):
-            term, update = (s[: len(gb)] for s in scratch[key])
+        for gb, mb, vb, pb, term, update in flat_blocks((g, m, v, params[name]), g.dtype, v.dtype):
             mb *= ADAM_BETA1
             np.multiply(gb, 1.0 - ADAM_BETA1, out=term)
             mb += term

@@ -5,9 +5,10 @@ import threading
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emocnn import checkpoint, network, tensor
-from emocnn.labels import EmotionLabel
+from emocnn.labels import N_CLASSES, EmotionLabel
 from emocnn.network import (
     CONV_GROUPS,
     VARIANTS,
@@ -112,6 +113,40 @@ def test_parameter_names_and_order_agree_everywhere(case):
     params = model.parameters()
     for name in names:
         assert grads[name].shape == params[name].shape, name
+
+
+@st.composite
+def small_configs(draw):
+    """1-3 conv groups of 1-2 convs of 1-6 channels, and 1-3 fc layers.
+    Each conv takes 4 off the side and the last pool needs 2, so the
+    augmentation side starts at 4 per conv plus 2."""
+    channels = st.integers(1, 6)
+    groups = draw(st.lists(st.lists(channels, min_size=1, max_size=2).map(tuple), min_size=1, max_size=3))
+    n_convs = sum(map(len, groups))
+    return NetworkConfig(
+        variant=None,
+        conv_groups=tuple(groups),
+        input_len=draw(st.integers(1, 8)),
+        aug_side=draw(st.integers(4 * n_convs + 2, 4 * n_convs + 6)),
+        aug_channels=draw(st.integers(1, 3)),
+        fc_sizes=(*draw(st.lists(st.integers(1, 8), max_size=2)), N_CLASSES),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=small_configs(), seed=st.integers(0, 2**32 - 1))
+def test_random_architectures_agree_on_parameters_and_checkpoint(tmp_path_factory, config, seed):
+    shapes = [(name, p.shape) for name, p in allocate_model(config).named_parameters()]
+    assert shapes == network._parameter_shapes(config)
+    assert shapes == [(entry["name"], tuple(entry["dims"])) for entry in checkpoint._directory(config)]
+    model = build_model(config, Prng(seed))
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    checkpoint.save_checkpoint(model, path)
+    loaded = checkpoint.load_checkpoint(path)
+    assert loaded.config == config
+    assert [(n, p.tobytes()) for n, p in loaded.named_parameters()] == [
+        (n, p.tobytes()) for n, p in model.named_parameters()
+    ]
 
 
 def test_variant_b_parameter_shapes():

@@ -209,6 +209,20 @@ def test_load_stop_words(tmp_path):
     assert load_stop_words(p) == ("的", "了")
 
 
+def test_load_dataset_skips_a_leading_bom(tmp_path):
+    p = tmp_path / "data.tsv"
+    p.write_text("positive\t你好\nnegative\t槽糕\n", encoding="utf-8-sig")
+    rows = load_dataset(p)
+    assert [r.label for r in rows] == [EmotionLabel.POSITIVE, EmotionLabel.NEGATIVE]
+    assert rows[0].text == "你好"
+
+
+def test_load_stop_words_skips_a_leading_bom(tmp_path):
+    p = tmp_path / "stops.txt"
+    p.write_text("你\n的\n", encoding="utf-8-sig")
+    assert load_stop_words(p) == ("你", "的")
+
+
 def test_split_dataset_sizes():
     train, evalset = split_dataset(list(range(10)), 0.2, seed=0)
     assert len(train) == 8 and len(evalset) == 2

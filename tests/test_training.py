@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import emocnn
+from emocnn import network, tensor
 from emocnn.network import build_model, loss_and_grads
 from emocnn.tensor import FLAT_BLOCK, Prng
 from emocnn.training import (
@@ -109,6 +110,33 @@ def test_blocked_adam_is_bit_identical_to_whole_tensor_reference(size, dtype):
     for k in params:
         assert params[k].tobytes() == want[k].tobytes()
         assert state.m[k].tobytes() == m[k].tobytes() and state.v[k].tobytes() == v[k].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "block, sizes",
+    [(1, (1, 2, 3)), (7, (1, 6, 7, 8, 15)), (1 << 15, (1, (1 << 15) - 1, (1 << 15) + 1)), (1 << 20, (1, (1 << 20) + 1))],
+)
+def test_adam_and_l2_follow_the_flat_block_size(monkeypatch, block, sizes, dtype):
+    # Every blocked update reads the one tensor.FLAT_BLOCK, scratch included.
+    monkeypatch.setattr(tensor, "FLAT_BLOCK", block)
+    rng = np.random.default_rng(block)
+    params = {f"w{n}": rng.normal(size=n).astype(dtype) for n in sizes}
+    want = {k: p.copy() for k, p in params.items()}
+    m, v = ({k: np.zeros_like(p) for k, p in params.items()} for _ in range(2))
+    state = AdamState.for_params(params, learning_rate=1e-3)
+    for t in (1, 2):
+        grads = {k: rng.normal(size=p.shape).astype(dtype) for k, p in params.items()}
+        adam_step(params, grads, state)
+        adam_step_whole(want, grads, m, v, t, 1e-3)
+    for k in params:
+        assert params[k].tobytes() == want[k].tobytes()
+        assert state.m[k].tobytes() == m[k].tobytes() and state.v[k].tobytes() == v[k].tobytes()
+    l2 = 1.5e-4
+    want = {k: g + w * (2 * l2) for (k, g), w in zip(grads.items(), params.values())}
+    network._add_l2_gradients(grads, params, l2)
+    for k in params:
+        assert grads[k].dtype == dtype and grads[k].tobytes() == want[k].tobytes()
 
 
 def test_adam_step_peak_memory_is_block_sized():
