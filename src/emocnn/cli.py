@@ -58,7 +58,7 @@ def _parse_grid(text: str):
 def _add_train_flags(p, *unread):
     """The training flags, less those in ``unread``, which the command sets itself."""
     for flag, kwargs in (
-        ("--variant", dict(choices=VARIANTS, default="B")),
+        ("--variant", dict(type=str.upper, choices=VARIANTS, default="B")),
         ("--epochs", dict(type=int, default=TrainConfig.epochs)),
         ("--lr", dict(type=float, default=TrainConfig.learning_rate)),
         ("--l2", dict(type=float, default=NetworkConfig.l2_strength)),

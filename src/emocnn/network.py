@@ -150,9 +150,10 @@ class NetworkConfig:
 
     def _walk(self) -> Iterator[tuple[str, str, object, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
         """(name, kind, arg, in_shape, out_shape, weight_shape) for every
-        layer of the plan, each activation shape per sample. A conv's
-        weight is its filters, an affine's is (outputs, inputs), and a pool
-        has none: (). Raises if any layer underflows."""
+        layer of the plan, each activation shape per sample. An affine
+        layer's input is flat. A conv's weight is its filters, an affine's
+        is (outputs, inputs), and a pool has none: (). Raises if any layer
+        underflows."""
         shape = (self.input_len,)
         for name, kind, arg in self.layer_plan():
             if kind == "conv":
@@ -165,8 +166,8 @@ class NetworkConfig:
             elif kind == "pool":
                 out, weight = (*_pool_geometry(shape[0], shape[1], arg)[:2], shape[2]), ()
             else:
-                out = arg if kind == "augmentation" else (arg,)
-                weight = (math.prod(out), math.prod(shape))
+                shape, out = (math.prod(shape),), arg if kind == "augmentation" else (arg,)
+                weight = (math.prod(out), shape[0])
             yield name, kind, arg, shape, out, weight
             shape = out
 
@@ -176,7 +177,7 @@ class NetworkConfig:
         return [out[0] for _, kind, _, _, out, _ in self._walk() if kind != "fc"]
 
     def flatten_width(self) -> int:
-        return next(math.prod(shape) for _, kind, _, shape, _, _ in self._walk() if kind == "fc")
+        return next(shape[0] for _, kind, _, shape, _, _ in self._walk() if kind == "fc")
 
 
 @dataclass
@@ -188,22 +189,22 @@ class Model:
     convs: list[ConvParams]
     fcs: list[AffineParams]
 
-    def _layers(self) -> list[tuple[str, str, object, object]]:
-        """(name, kind, arg, params) for every layer of the config's plan;
-        params is None for a pool."""
-        params, plan = iter([self.augmentation, *self.convs, *self.fcs]), self.config.layer_plan()
-        return [(name, kind, arg, None if kind == "pool" else next(params)) for name, kind, arg in plan]
+    def _layers(self) -> list[tuple[str, str, object, tuple[int, ...], object]]:
+        """(name, kind, arg, in_shape, params) for every layer of the
+        config's walk; params is None where the walk gives no weight shape."""
+        params, walk = iter([self.augmentation, *self.convs, *self.fcs]), self.config._walk()
+        return [(name, kind, arg, shape, next(params) if w else None) for name, kind, arg, shape, _, w in walk]
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) per parameter, in plan order, weights before bias."""
-        return [pair for name, _, _, p in self._layers() if p is not None for pair in _named(name, p)]
+        return [pair for name, *_, p in self._layers() if p is not None for pair in _named(name, p)]
 
     def parameters(self) -> dict[str, np.ndarray]:
         return dict(self.named_parameters())
 
     def weight_names(self) -> list[str]:
         """Names of the L2-regularized tensors (weights/filters, not biases)."""
-        return [f"{name}.{fields(p)[0].name}" for name, _, _, p in self._layers() if p is not None]
+        return [f"{name}.{fields(p)[0].name}" for name, *_, p in self._layers() if p is not None]
 
     @property
     def dtype(self):
@@ -271,9 +272,10 @@ def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, r
     A step is (backward, names). ``backward`` maps the gradient at the
     layer's output to the gradient at its input. For a weighted layer it
     returns that with a callable that gives the gradients of the layer's
-    weights and bias, called ``names``. Unless ``record``, the tape stays
-    empty and holds no layer's input, so each activation is freed once the
-    next layer has run.
+    weights and bias, called ``names``. Where a layer's input differs from
+    its ``in_shape`` in the walk, a reshape step comes first. Unless
+    ``record``, the tape stays empty and holds no layer's input, so each
+    activation is freed once the next layer has run.
     """
     cfg = model.config
     batch = np.asarray(batch)
@@ -285,40 +287,30 @@ def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, r
     # Forward dropout is the identity in test mode and at keep 1, so then
     # it records no backward step.
     hidden_dropout = mode == "train" and cfg.dropout_keep_hidden < 1.0
-
-    def weighted(layer_forward, layer_step, x, name, p):
-        push((partial(layer_step, x=x, p=p), tuple(n for n, _ in _named(name, p))))
-        return layer_forward(x, p)
-
-    def reshape(x, shape):
-        push((methodcaller("reshape", x.shape), ()))
-        return x.reshape(shape)
-
-    def rectify(z):
-        # In place: z is a fresh layer output, and relu_backward's mask
-        # (x > 0) is the same on the rectified values.
-        push((partial(relu_backward, x=z), ()))
-        return np.maximum(z, 0, out=z)
-
     # No gradient flows to the input, so input dropout records no step.
     h, _ = dropout_forward(batch, DropoutSpec(cfg.dropout_keep_input), mode, rng)
-    plan = model._layers()
-    for i, (name, kind, arg, p) in enumerate(plan):
-        if kind == "conv":
-            h = rectify(weighted(conv2d_forward, _conv_step, h, name, p))
-        elif kind == "pool":
+    layers = model._layers()
+    for i, (name, kind, arg, in_shape, p) in enumerate(layers):
+        if h.shape[1:] != in_shape:  # the augmentation's grid, fc1's flat input; row-major
+            push((methodcaller("reshape", h.shape), ()))
+            h = h.reshape(len(h), *in_shape)
+        if kind == "pool":
             push((partial(maxpool_backward, x=h, spec=arg), ()))
             h = maxpool_forward(h, arg)
-        else:  # the augmentation and the fc head are affine
-            if h.ndim != 2:  # NHWC, flattened row-major for the first fc
-                h = reshape(h, (len(h), -1))
-            h = weighted(affine_forward, _affine_step, h, name, p)
-            if kind == "augmentation":
-                h = reshape(h, (len(h), *arg))
-            elif i < len(plan) - 1:
-                h, mask = dropout_forward(rectify(h), drop_hidden, mode, rng)
-                if hidden_dropout:
-                    push((partial(dropout_backward, mask=mask, spec=drop_hidden), ()))
+            continue
+        apply, step = (conv2d_forward, _conv_step) if kind == "conv" else (affine_forward, _affine_step)
+        push((partial(step, x=h, p=p), tuple(n for n, _ in _named(name, p))))
+        h = apply(h, p)
+        hidden_fc = kind == "fc" and i < len(layers) - 1
+        if kind == "conv" or hidden_fc:
+            # In place: h is a fresh layer output, and relu_backward's mask
+            # (x > 0) is the same on the rectified values.
+            push((partial(relu_backward, x=h), ()))
+            np.maximum(h, 0, out=h)
+        if hidden_fc:
+            h, mask = dropout_forward(h, drop_hidden, mode, rng)
+            if hidden_dropout:
+                push((partial(dropout_backward, mask=mask, spec=drop_hidden), ()))
     return h, tape
 
 
@@ -402,19 +394,22 @@ def predict(model: Model, seq) -> tuple[EmotionLabel, np.ndarray]:
     return EmotionLabel(int(np.argmax(probs))), probs
 
 
-def predict_batch(model: Model, codes: np.ndarray, batch_size: int = 32) -> np.ndarray:
+_PREDICT_CHUNK = 32  # rows per forward in predict_batch
+
+
+def predict_batch(model: Model, codes: np.ndarray) -> np.ndarray:
     """Predicted class indices for raw byte codes [N, 144], in chunks of
-    ``batch_size`` rows. The layer outputs grow with the chunk; the conv
+    ``_PREDICT_CHUNK`` rows. The layer outputs grow with the chunk; the conv
     im2col columns do not, since ``conv2d_forward`` builds them in blocks
     of at most 8 MB. The GEMMs' low bits, and so near-tied labels, can
     differ between chunk sizes. Raises NumericalFault if a chunk's logits
     are not all finite."""
     x = scale_codes(codes, model.dtype)
     out = np.empty(len(x), dtype=np.int64)
-    for start in range(0, len(x), batch_size):
-        rows = x[start : start + batch_size]
+    for start in range(0, len(x), _PREDICT_CHUNK):
+        rows = x[start : start + _PREDICT_CHUNK]
         logits = _finite_logits(model, rows, f"rows {start} to {start + len(rows) - 1}")
-        out[start : start + batch_size] = logits.argmax(axis=1)
+        out[start : start + _PREDICT_CHUNK] = logits.argmax(axis=1)
     return out
 
 

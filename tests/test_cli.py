@@ -262,6 +262,13 @@ def test_train_flag_defaults_are_the_train_config_defaults():
     assert cli._train_config(args) == training.TrainConfig()
 
 
+@pytest.mark.parametrize("command", [["train"], ["sweep-params", "--grid", "5e-6:1.5e-4"]])
+def test_variant_flag_takes_either_case(command):
+    # sweep-config --variants reads "b" as B; --variant does the same.
+    args = cli.build_parser().parse_args([*command, "--data", "d.tsv", "--out", "o", "--variant", "b"])
+    assert args.variant == "B"
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 def test_non_finite_learning_rate_exits_1(tmp_path, capsys, data_tsv, lr):
     out = tmp_path / "m.ckpt"

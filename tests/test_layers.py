@@ -216,6 +216,33 @@ def test_blocked_conv_matches_naive_reference(monkeypatch, case, batch):
         assert rel_error(got, want) < 1e-13
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(CONV_BLOCK_INPUTS)), batch=st.integers(1, 6), data=st.data())
+def test_conv_matches_naive_reference_at_drawn_block_sizes(case, batch, data):
+    rng = np.random.default_rng(29)
+    x = CONV_BLOCK_INPUTS[case](rng, batch)
+    p = _conv_params(rng, 3, x.shape[3])
+    _, h, w, c = x.shape
+    per_sample = (h - 4) * (w - 4) * 25 * c * x.itemsize  # one sample's im2col columns
+    # From one sample per block up to the whole batch's columns in one.
+    block_bytes = data.draw(st.integers(1, batch * per_sample), label="block_bytes")
+    step = max(1, block_bytes // per_sample)
+    expected_blocks = [min(step, batch - lo) for lo in range(0, batch, step)]
+    im2col, blocks = layers._im2col, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(layers, "_im2col", lambda xb, *a: blocks.append(len(xb)) or im2col(xb, *a))
+        out = conv2d_forward(x, p)
+        assert blocks == expected_blocks
+        blocks.clear()
+        dy = rng.random(out.shape) - 0.5
+        grads = conv2d_backward(dy, x, p)
+        assert blocks == expected_blocks
+    assert rel_error(out, conv2d_naive(x, p.filters, p.bias)) < 1e-13
+    for got, want in zip(grads, conv2d_backward_naive(dy, x, p.filters)):
+        assert rel_error(got, want) < 1e-13
+
+
 def test_conv_forward_peak_memory_is_output_plus_two_blocks():
     # Whole, this input's im2col columns would be 82 MB.
     rng = np.random.default_rng(27)
@@ -370,10 +397,10 @@ def test_maxpool_backward_float32_sums_in_float64_and_rounds_once(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(pool_cases(max_batch=5), st.sampled_from((1, 2000, 6000)), st.sampled_from((np.float64, np.float32)))
+@given(pool_cases(max_batch=5), st.integers(1, 1 << 16), st.sampled_from((np.float64, np.float32)))
 def test_blocked_maxpool_backward_matches_loop_across_block_edges(case, block_bytes, dtype):
-    # 1 byte puts every sample in a block of its own; the others hold one
-    # to several samples, depending on the shape.
+    # 1 byte puts every sample in a block of its own; 2^16 holds the
+    # largest drawn batch in one block.
     spec, x, dy = case
     x, dy = x.astype(dtype), dy.astype(dtype)
     expected = maxpool_backward_naive(dy, x, spec.window, spec.stride, spec.padding).astype(dtype)

@@ -386,6 +386,35 @@ def test_gradients_match_the_hand_unrolled_backward_bit_for_bit(case):
         assert g.dtype == want[name].dtype and g.tobytes() == want[name].tobytes(), name
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    config=small_configs(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    mode=st.sampled_from(["train", "test"]),
+    keep_input=st.sampled_from([1.0, 0.7]),
+    keep_hidden=st.sampled_from([1.0, 0.5]),
+    l2=st.sampled_from([0.0, 1.5e-4]),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_random_architectures_match_the_hand_unrolled_backward(
+    config, dtype, mode, keep_input, keep_hidden, l2, rows, seed
+):
+    # Weights of O(1), so the ReLUs cut some units and pass others.
+    config = dataclasses.replace(
+        config, dropout_keep_input=keep_input, dropout_keep_hidden=keep_hidden, l2_strength=l2, init_std=0.5
+    )
+    model = build_model(config, Prng(seed), dtype=dtype)
+    x = Prng(seed + 1).uniform(rows * config.input_len).reshape(rows, -1).astype(dtype)
+    y = np.random.default_rng(seed).integers(0, N_CLASSES, size=rows)
+    loss, grads = loss_and_grads(model, x, y, mode=mode, rng=Prng(seed))
+    want_loss, want = composed_grads(model, x, y, mode=mode, rng=Prng(seed))
+    assert loss == want_loss
+    assert list(grads) == list(want)
+    for name, g in grads.items():
+        assert g.dtype == want[name].dtype and g.tobytes() == want[name].tobytes(), name
+
+
 def test_loss_and_grads_peak_memory_is_about_its_gradients(served_b):
     # The affine weight gradients, fc1's 37.7 MB above all, are computed
     # after the conv activations are freed. Measured: 4 MB above the
@@ -422,10 +451,11 @@ def test_argmax_invariant_under_logit_shift():
         assert np.argmax(softmax(logits)) == np.argmax(softmax(logits + 57.0))
 
 
-def test_predict_batch_matches_predict():
+def test_predict_batch_matches_predict(monkeypatch):
     model = randomized_tiny_model(22, dtype=np.float32)
     codes = np.random.default_rng(23).integers(0, 256, size=(6, 5))
-    batched = predict_batch(model, codes, batch_size=4)
+    monkeypatch.setattr(network, "_PREDICT_CHUNK", 4)
+    batched = predict_batch(model, codes)
     single = [int(predict(model, row)[0]) for row in codes]
     npt.assert_array_equal(batched, single)
 
@@ -506,11 +536,13 @@ def test_blocked_l2_gradient_is_bit_identical_to_whole_tensor_add(dtype):
         assert grads[k].dtype == dtype and grads[k].tobytes() == want[k].tobytes()
 
 
-def test_predict_batch_labels_do_not_depend_on_the_chunk(served_b):
+def test_predict_batch_labels_do_not_depend_on_the_chunk(served_b, monkeypatch):
     codes = _codes(70, 35)
-    labels = predict_batch(served_b, codes, batch_size=256)
+    monkeypatch.setattr(network, "_PREDICT_CHUNK", 256)
+    labels = predict_batch(served_b, codes)
     for chunk in (1, 3, 32):
-        npt.assert_array_equal(predict_batch(served_b, codes, batch_size=chunk), labels)
+        monkeypatch.setattr(network, "_PREDICT_CHUNK", chunk)
+        npt.assert_array_equal(predict_batch(served_b, codes), labels)
 
 
 def test_predict_batch_peak_memory_at_the_default_chunk(served_b):
