@@ -26,7 +26,7 @@ from .evaluation import (
 from .network import NetworkConfig, VARIANTS, build_model, predict
 from .tensor import Prng
 from .text import SEQUENCE_LENGTH, DataError, encode_dataset, encode_dialogue, load_dataset, load_stop_words
-from .training import NumericalFault, TrainConfig
+from .training import NumericalFault, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,8 +155,6 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .training import train
-
     codes, labels = _load_encoded(args)
     config = NetworkConfig.for_variant(args.variant, l2_strength=args.l2)
     model = build_model(config, Prng(args.seed))

@@ -103,7 +103,7 @@ def _train_and_score(config: NetworkConfig, dataset, budget: TrainConfig):
     started = time.perf_counter()
     model, _ = train(model, dataset, budget)
     elapsed = time.perf_counter() - started
-    _, eval_idx = split_encoded(codes, labels, budget.eval_fraction, budget.seed)
+    _, eval_idx = split_encoded(len(codes), budget.eval_fraction, budget.seed)
     report = evaluate(model, (codes[eval_idx], np.asarray(labels)[eval_idx]))
     return report.overall_top1, elapsed
 

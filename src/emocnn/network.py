@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass, asdict, fields
 from functools import partial
-from operator import methodcaller
 from typing import Iterator, Optional
 
 import numpy as np
@@ -252,65 +251,46 @@ def build_model(config: NetworkConfig, rng: Prng, dtype=DEFAULT_DTYPE) -> Model:
     return _make_model(config, lambda s: gaussian_init(s, config.init_mean, config.init_std, rng, dtype), dtype)
 
 
-def _affine_step(dy: np.ndarray, x: np.ndarray, p: AffineParams):
-    """dx now; dW and db once called, from the dy and x kept until then.
-    Those are far smaller than dW: 1.3 MB against 37.7 MB for fc1 at
-    batch 32."""
-    return affine_input_grad(dy, x, p), partial(affine_param_grads, dy, x)
-
-
-def _conv_step(dy: np.ndarray, x: np.ndarray, p: ConvParams):
-    """dx, and dfilters and dbias at once: x and dy outweigh dfilters, so
-    keeping them for later would cost more than it saves."""
-    dx, *param_grads = conv2d_backward(dy, x, p)
-    return dx, lambda: param_grads
-
-
 def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, record: bool = True):
-    """Logits, and a tape of one backward step per layer in forward order.
+    """Logits, and a tape of one record per layer of ``model._layers()``.
 
-    A step is (backward, names). ``backward`` maps the gradient at the
-    layer's output to the gradient at its input. For a weighted layer it
-    returns that with a callable that gives the gradients of the layer's
-    weights and bias, called ``names``. Where a layer's input differs from
-    its ``in_shape`` in the walk, a reshape step comes first. Unless
-    ``record``, the tape stays empty and holds no layer's input, so each
-    activation is freed once the next layer has run.
+    A record is (layer, x, shape, rectified, mask): the layer's entry, its
+    input reshaped row-major to the walk's ``in_shape`` and the shape it
+    arrived in, its in-place ReLU output, or None, and its dropout mask,
+    None unless train-mode hidden dropout ran. Unless ``record``, the tape
+    stays empty, so each activation is freed once the next layer has run.
     """
     cfg = model.config
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != cfg.input_len:
         raise ValueError(f"batch must be [B, {cfg.input_len}], got {batch.shape}")
     tape = []
-    push = tape.append if record else lambda step: None
     drop_hidden = DropoutSpec(cfg.dropout_keep_hidden)
     # Forward dropout is the identity in test mode and at keep 1, so then
-    # it records no backward step.
+    # it records no mask.
     hidden_dropout = mode == "train" and cfg.dropout_keep_hidden < 1.0
-    # No gradient flows to the input, so input dropout records no step.
+    # No gradient flows to the input, so input dropout records nothing.
     h, _ = dropout_forward(batch, DropoutSpec(cfg.dropout_keep_input), mode, rng)
     layers = model._layers()
-    for i, (name, kind, arg, in_shape, p) in enumerate(layers):
-        if h.shape[1:] != in_shape:  # the augmentation's grid, fc1's flat input; row-major
-            push((methodcaller("reshape", h.shape), ()))
-            h = h.reshape(len(h), *in_shape)
+    for i, layer in enumerate(layers):
+        _, kind, arg, in_shape, p = layer
+        # The shape changes only at the augmentation's grid and fc1's flat input.
+        shape, x = h.shape, h.reshape(len(h), *in_shape)
+        rectified = mask = None
         if kind == "pool":
-            push((partial(maxpool_backward, x=h, spec=arg), ()))
-            h = maxpool_forward(h, arg)
-            continue
-        apply, step = (conv2d_forward, _conv_step) if kind == "conv" else (affine_forward, _affine_step)
-        push((partial(step, x=h, p=p), tuple(n for n, _ in _named(name, p))))
-        h = apply(h, p)
-        hidden_fc = kind == "fc" and i < len(layers) - 1
-        if kind == "conv" or hidden_fc:
-            # In place: h is a fresh layer output, and relu_backward's mask
-            # (x > 0) is the same on the rectified values.
-            push((partial(relu_backward, x=h), ()))
-            np.maximum(h, 0, out=h)
-        if hidden_fc:
-            h, mask = dropout_forward(h, drop_hidden, mode, rng)
-            if hidden_dropout:
-                push((partial(dropout_backward, mask=mask, spec=drop_hidden), ()))
+            h = maxpool_forward(x, arg)
+        else:
+            h = (conv2d_forward if kind == "conv" else affine_forward)(x, p)
+            hidden_fc = kind == "fc" and i < len(layers) - 1
+            if kind == "conv" or hidden_fc:
+                # In place: h is a fresh layer output, and relu_backward's mask
+                # (x > 0) is the same on the rectified values.
+                rectified = np.maximum(h, 0, out=h)
+            if hidden_fc:
+                h, mask = dropout_forward(h, drop_hidden, mode, rng)
+                mask = mask if hidden_dropout else None
+        if record:
+            tape.append((layer, x, shape, rectified, mask))
     return h, tape
 
 
@@ -333,25 +313,38 @@ def loss_and_grads(
     with l2 the config's ``l2_strength``; its gradient contribution is
     2 * l2 * W.
 
-    The tape is replayed by popping its steps, so each layer's saved input
-    is freed once its backward has run; the tape is empty on return. The
-    affine weight and bias gradients are computed after the replay, from
-    the upstream gradient and input each affine step kept, so fc1's
-    weight gradient, the largest, is never alive beside the conv layers'
-    saved inputs. The keys of ``grads`` run in replay order, the reverse
-    of the plan, weight before bias.
+    The tape is replayed by popping its records: each layer, in reverse
+    plan order, runs its dropout, ReLU and own backward, frees its ReLU
+    output and mask before its own backward and its input after it; the
+    tape is empty on return. A conv's parameter gradients are made at once,
+    since its input and upstream gradient outweigh them; an affine layer's
+    after the replay, from the upstream gradient and input it kept, so
+    fc1's weight gradient (37.7 MB at batch 32) is never alive beside the
+    conv layers' saved inputs. The keys of ``grads`` run in replay order,
+    the reverse of the plan, weight before bias.
     """
     l2 = model.config.l2_strength
+    drop_hidden = DropoutSpec(model.config.dropout_keep_hidden)
     logits, tape = _run_forward(model, batch, mode, rng)
     loss, _, g = softmax_cross_entropy(logits, np.asarray(labels))
-    later = {}  # names -> the callable giving their gradients, in replay order
+    later = []  # (layer name, params, callable giving their gradients), in replay order
     while tape:
-        backward, names = tape.pop()
-        if names:
-            g, later[names] = backward(g)
+        (name, kind, arg, _, p), x, shape, rectified, mask = tape.pop()
+        if mask is not None:
+            g = dropout_backward(g, mask, drop_hidden)
+        if rectified is not None:
+            g = relu_backward(g, rectified)
+        rectified = mask = None  # freed before the layer's own backward, not after it
+        if kind == "pool":
+            g = maxpool_backward(g, x, arg)
+        elif kind == "conv":
+            g, *param_grads = conv2d_backward(g, x, p)
+            later.append((name, p, partial(tuple, param_grads)))
         else:
-            g = backward(g)
-    grads = {name: grad for names, param_grads in later.items() for name, grad in zip(names, param_grads())}
+            later.append((name, p, partial(affine_param_grads, g, x)))
+            g = affine_input_grad(g, x, p)
+        g = g.reshape(shape)
+    grads = {key: grad for name, p, param_grads in later for (key, _), grad in zip(_named(name, p), param_grads())}
     if l2 != 0.0:
         params = model.parameters()
         weights = {name: params[name] for name in model.weight_names()}

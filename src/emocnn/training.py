@@ -118,10 +118,10 @@ class TrainLog:
     val_top1: list[tuple[int, float]] = field(default_factory=list)
 
 
-def split_encoded(codes: np.ndarray, labels: np.ndarray, eval_fraction: float, seed: int):
-    """(train_idx, eval_idx) over rows of an encoded dataset, matching the
-    raw-dialogue split for the same seed."""
-    train_idx, eval_idx = split_dataset(list(range(len(codes))), eval_fraction, seed)
+def split_encoded(n_rows: int, eval_fraction: float, seed: int):
+    """(train_idx, eval_idx) over the ``n_rows`` rows of an encoded dataset,
+    matching the raw-dialogue split for the same seed."""
+    train_idx, eval_idx = split_dataset(list(range(n_rows)), eval_fraction, seed)
     return np.asarray(train_idx, dtype=np.int64), np.asarray(eval_idx, dtype=np.int64)
 
 
@@ -150,7 +150,7 @@ def train(model: Model, dataset, config: TrainConfig):
     if len(present) == 0 or present.min() < 2:
         raise DataError("every class present in the dataset needs at least 2 examples")
 
-    train_idx, eval_idx = split_encoded(codes, labels, config.eval_fraction, config.seed)
+    train_idx, eval_idx = split_encoded(len(codes), config.eval_fraction, config.seed)
     x = scale_codes(codes, model.dtype)
     y = labels
 

@@ -325,7 +325,7 @@ def _raise_unexpected(*args, **kwargs):
 def test_unexpected_exception_exits_4_in_one_line(tmp_path, data_tsv, tiny_ckpt, monkeypatch, capsys, command):
     # The last-resort guard: any other exception is one stderr line, no traceback.
     target, argv = {
-        "train": ((training, "train"), _train_args(data_tsv, tmp_path / "m.ckpt")),
+        "train": ((cli, "train"), _train_args(data_tsv, tmp_path / "m.ckpt")),
         "eval": ((cli, "evaluate"), ["eval", "--data", data_tsv, "--ckpt", tiny_ckpt, "--report", str(tmp_path / "r.csv")]),
         "predict": ((cli, "predict"), ["predict", "--ckpt", tiny_ckpt, "--text", "丁"]),
     }[command]
@@ -397,7 +397,7 @@ def test_eval_on_an_empty_data_file_exits_2(tmp_path, capsys, tiny_ckpt):
 
 def _rows_of_two_classes(data_tsv, per_class):
     """The first ``per_class`` rows of each of two classes of ``data_tsv``."""
-    lines = open(data_tsv, encoding="utf-8").read().splitlines()
+    lines = Path(data_tsv).read_text(encoding="utf-8").splitlines()
     labels = sorted({line.split("\t")[0] for line in lines})[:2]
     return [[line for line in lines if line.startswith(label + "\t")][:n] for label, n in zip(labels, per_class)]
 

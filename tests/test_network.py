@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import threading
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -472,7 +473,10 @@ def test_walk_without_tape_gives_the_same_logits(served_b):
     x = network.scale_codes(_codes(4, 31), np.float32)
     recorded, tape = network._run_forward(served_b, x, "test", None)
     bare, no_tape = network._run_forward(served_b, x, "test", None, record=False)
-    assert tape and no_tape == []
+    assert no_tape == []
+    # One record per named layer, in plan order: no separate reshape, ReLU or dropout steps.
+    plan = [name for name, _, _ in served_b.config.layer_plan()]
+    assert len(tape) == len(plan) and [layer[0] for layer, *_ in tape] == plan
     assert recorded.tobytes() == bare.tobytes()
     model = randomized_tiny_model(
         32, conv_groups=((3,), (4, 2)), aug_side=16, input_len=7, fc_sizes=(16, 5),
@@ -482,6 +486,27 @@ def test_walk_without_tape_gives_the_same_logits(served_b):
     recorded, _ = network._run_forward(model, x, "train", Prng(34))
     bare, _ = network._run_forward(model, x, "train", Prng(34), record=False)
     assert recorded.tobytes() == bare.tobytes()
+
+
+def test_a_conv_frees_its_relu_output_before_its_own_backward(monkeypatch):
+    relu_backward, conv2d_backward, rectified, alive = network.relu_backward, network.conv2d_backward, [], []
+
+    def spy_relu(dy, x):
+        rectified.append(weakref.ref(x))
+        return relu_backward(dy, x)
+
+    def spy_conv(*args):
+        alive.append(rectified[-1]() is not None)
+        return conv2d_backward(*args)
+
+    monkeypatch.setattr(network, "relu_backward", spy_relu)
+    monkeypatch.setattr(network, "conv2d_backward", spy_conv)
+    model = randomized_tiny_model(
+        35, conv_groups=((3,), (4, 2)), aug_side=16, input_len=7, fc_sizes=(16, 5), dropout_keep_hidden=0.7
+    )
+    x = Prng(36).uniform(4 * 7).reshape(4, 7)
+    loss_and_grads(model, x, np.array([4, 0, 2, 1]), mode="train", rng=Prng(37))
+    assert alive == [False, False, False]
 
 
 def test_only_loss_and_grads_records_a_tape(monkeypatch):

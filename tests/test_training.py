@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emocnn
 from emocnn import network, tensor
@@ -112,31 +113,52 @@ def test_blocked_adam_is_bit_identical_to_whole_tensor_reference(size, dtype):
         assert state.m[k].tobytes() == m[k].tobytes() and state.v[k].tobytes() == v[k].tobytes()
 
 
+def _check_adam_and_l2_at_flat_block(block, sizes, dtype):
+    # Every blocked update reads the one tensor.FLAT_BLOCK, scratch included.
+    rng = np.random.default_rng(block)
+    params = {f"w{i}": rng.normal(size=n).astype(dtype) for i, n in enumerate(sizes)}
+    want = {k: p.copy() for k, p in params.items()}
+    m, v = ({k: np.zeros_like(p) for k, p in params.items()} for _ in range(2))
+    state = AdamState.for_params(params, learning_rate=1e-3)
+    l2 = 1.5e-4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "FLAT_BLOCK", block)
+        for t in (1, 2):
+            grads = {k: rng.normal(size=p.shape).astype(dtype) for k, p in params.items()}
+            adam_step(params, grads, state)
+            adam_step_whole(want, grads, m, v, t, 1e-3)
+        for k in params:
+            assert params[k].tobytes() == want[k].tobytes()
+            assert state.m[k].tobytes() == m[k].tobytes() and state.v[k].tobytes() == v[k].tobytes()
+        want = {k: g + w * (2 * l2) for (k, g), w in zip(grads.items(), params.values())}
+        network._add_l2_gradients(grads, params, l2)
+    for k in params:
+        assert grads[k].dtype == dtype and grads[k].tobytes() == want[k].tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(
     "block, sizes",
     [(1, (1, 2, 3)), (7, (1, 6, 7, 8, 15)), (1 << 15, (1, (1 << 15) - 1, (1 << 15) + 1)), (1 << 20, (1, (1 << 20) + 1))],
 )
-def test_adam_and_l2_follow_the_flat_block_size(monkeypatch, block, sizes, dtype):
-    # Every blocked update reads the one tensor.FLAT_BLOCK, scratch included.
-    monkeypatch.setattr(tensor, "FLAT_BLOCK", block)
-    rng = np.random.default_rng(block)
-    params = {f"w{n}": rng.normal(size=n).astype(dtype) for n in sizes}
-    want = {k: p.copy() for k, p in params.items()}
-    m, v = ({k: np.zeros_like(p) for k, p in params.items()} for _ in range(2))
-    state = AdamState.for_params(params, learning_rate=1e-3)
-    for t in (1, 2):
-        grads = {k: rng.normal(size=p.shape).astype(dtype) for k, p in params.items()}
-        adam_step(params, grads, state)
-        adam_step_whole(want, grads, m, v, t, 1e-3)
-    for k in params:
-        assert params[k].tobytes() == want[k].tobytes()
-        assert state.m[k].tobytes() == m[k].tobytes() and state.v[k].tobytes() == v[k].tobytes()
-    l2 = 1.5e-4
-    want = {k: g + w * (2 * l2) for (k, g), w in zip(grads.items(), params.values())}
-    network._add_l2_gradients(grads, params, l2)
-    for k in params:
-        assert grads[k].dtype == dtype and grads[k].tobytes() == want[k].tobytes()
+def test_adam_and_l2_follow_the_flat_block_size(block, sizes, dtype):
+    _check_adam_and_l2_at_flat_block(block, sizes, dtype)
+
+
+@st.composite
+def flat_block_cases(draw):
+    """A FLAT_BLOCK of 1 to 2^12 elements and 1-4 tensor sizes, drawn from
+    its block edges and from 1 to four blocks."""
+    block = draw(st.integers(1, 1 << 12))
+    edges = sorted({1, block - 1, block, block + 1, 2 * block + 1} - {0})
+    size = st.sampled_from(edges) | st.integers(1, 4 * block)
+    return block, tuple(draw(st.lists(size, min_size=1, max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=flat_block_cases(), dtype=st.sampled_from([np.float32, np.float64]))
+def test_adam_and_l2_follow_drawn_flat_block_sizes(case, dtype):
+    _check_adam_and_l2_at_flat_block(*case, dtype)
 
 
 def test_adam_step_peak_memory_is_block_sized():
@@ -204,8 +226,8 @@ def test_make_batches_too_many():
 
 def test_split_encoded_matches_seeded_split():
     codes, labels = make_marker_dataset(20, seed=0)
-    a = split_encoded(codes, labels, 0.2, seed=3)
-    b = split_encoded(codes, labels, 0.2, seed=3)
+    a = split_encoded(len(codes), 0.2, seed=3)
+    b = split_encoded(len(codes), 0.2, seed=3)
     npt.assert_array_equal(a[0], b[0])
     npt.assert_array_equal(a[1], b[1])
     assert len(a[0]) == 16 and len(a[1]) == 4
@@ -340,7 +362,7 @@ def test_tiny_model_overfits_separable_classes():
     _, log = train(model, (codes, labels), config)
     from emocnn.network import predict_batch
 
-    train_idx, _ = split_encoded(codes, labels, 0.2, config.seed)
+    train_idx, _ = split_encoded(len(codes), 0.2, config.seed)
     preds = predict_batch(model, codes[train_idx])
     assert (preds == labels[train_idx]).mean() >= 0.95
     assert log.steps[-1][1] < 0.2
