@@ -121,6 +121,9 @@ def _read_metadata(path, fh):
         raise CheckpointError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise CheckpointVersionError(f"{path}: format version {version}, expected {VERSION}")
+    # Checked before the read, which would otherwise allocate up to 4 GiB for a bad length.
+    if meta_len > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointTruncatedError(f"{path}: metadata truncated")
     meta_bytes = fh.read(meta_len)
     if len(meta_bytes) < meta_len:
         raise CheckpointTruncatedError(f"{path}: metadata truncated")

@@ -254,11 +254,11 @@ def build_model(config: NetworkConfig, rng: Prng, dtype=DEFAULT_DTYPE) -> Model:
 def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, record: bool = True):
     """Logits, and a tape of one record per layer of ``model._layers()``.
 
-    A record is (layer, x, shape, rectified, mask): the layer's entry, its
-    input reshaped row-major to the walk's ``in_shape`` and the shape it
-    arrived in, its in-place ReLU output, or None, and its dropout mask,
-    None unless train-mode hidden dropout ran. Unless ``record``, the tape
-    stays empty, so each activation is freed once the next layer has run.
+    A record is (layer, h): the layer's entry and the array it received,
+    before the row-major reshape to the walk's ``in_shape``. That array is
+    the previous layer's output after its ReLU and dropout, so the tape
+    holds no ReLU output or dropout mask. Unless ``record``, the tape stays
+    empty, so each activation is freed once the next layer has run.
     """
     cfg = model.config
     batch = np.asarray(batch)
@@ -266,31 +266,24 @@ def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, r
         raise ValueError(f"batch must be [B, {cfg.input_len}], got {batch.shape}")
     tape = []
     drop_hidden = DropoutSpec(cfg.dropout_keep_hidden)
-    # Forward dropout is the identity in test mode and at keep 1, so then
-    # it records no mask.
-    hidden_dropout = mode == "train" and cfg.dropout_keep_hidden < 1.0
     # No gradient flows to the input, so input dropout records nothing.
     h, _ = dropout_forward(batch, DropoutSpec(cfg.dropout_keep_input), mode, rng)
     layers = model._layers()
-    for i, layer in enumerate(layers):
+    for layer in layers:
         _, kind, arg, in_shape, p = layer
+        if record:
+            tape.append((layer, h))
         # The shape changes only at the augmentation's grid and fc1's flat input.
-        shape, x = h.shape, h.reshape(len(h), *in_shape)
-        rectified = mask = None
+        x = h.reshape(len(h), *in_shape)
         if kind == "pool":
             h = maxpool_forward(x, arg)
         else:
             h = (conv2d_forward if kind == "conv" else affine_forward)(x, p)
-            hidden_fc = kind == "fc" and i < len(layers) - 1
-            if kind == "conv" or hidden_fc:
-                # In place: h is a fresh layer output, and relu_backward's mask
-                # (x > 0) is the same on the rectified values.
-                rectified = np.maximum(h, 0, out=h)
-            if hidden_fc:
-                h, mask = dropout_forward(h, drop_hidden, mode, rng)
-                mask = mask if hidden_dropout else None
-        if record:
-            tape.append((layer, x, shape, rectified, mask))
+        if kind == "conv" or kind == "fc" and layer is not layers[-1]:
+            # In place: h is a fresh layer output, and ReLU keeps h > 0 as it was.
+            np.maximum(h, 0, out=h)
+            if kind == "fc":
+                h, _ = dropout_forward(h, drop_hidden, mode, rng)
     return h, tape
 
 
@@ -314,27 +307,33 @@ def loss_and_grads(
     2 * l2 * W.
 
     The tape is replayed by popping its records: each layer, in reverse
-    plan order, runs its dropout, ReLU and own backward, frees its ReLU
-    output and mask before its own backward and its input after it; the
-    tape is empty on return. A conv's parameter gradients are made at once,
-    since its input and upstream gradient outweigh them; an affine layer's
-    after the replay, from the upstream gradient and input it kept, so
-    fc1's weight gradient (37.7 MB at batch 32) is never alive beside the
-    conv layers' saved inputs. The keys of ``grads`` run in replay order,
-    the reverse of the plan, weight before bias.
+    plan order, runs its dropout and ReLU backward on its output ``y``,
+    the array the previously popped record received, and frees it, then
+    runs its own backward and frees its input; the tape is empty on
+    return. Dropout kept a unit and ReLU passed it exactly where y > 0, as
+    keep > 0, so one ``dropout_backward`` on that mask does both; where
+    g / keep overflows at a unit ReLU cut, it gives that unit's 0, not the
+    NaN of dropout then ReLU. A conv's parameter gradients are made at
+    once, since its input and upstream gradient outweigh them; an affine
+    layer's after the replay, from the upstream gradient and input it
+    kept, so fc1's weight gradient (37.7 MB at batch 32) is never alive
+    beside the conv layers' saved inputs. The keys of ``grads`` run in
+    replay order, the reverse of the plan, weight before bias.
     """
     l2 = model.config.l2_strength
     drop_hidden = DropoutSpec(model.config.dropout_keep_hidden)
+    # Forward dropout is the identity in test mode and at keep 1.
+    hidden_dropout = mode == "train" and drop_hidden.keep_probability < 1.0
     logits, tape = _run_forward(model, batch, mode, rng)
-    loss, _, g = softmax_cross_entropy(logits, np.asarray(labels))
+    loss, g = softmax_cross_entropy(logits, np.asarray(labels))[::2]  # probs is not kept
     later = []  # (layer name, params, callable giving their gradients), in replay order
+    y = None  # None only for the last layer, which is replayed first
     while tape:
-        (name, kind, arg, _, p), x, shape, rectified, mask = tape.pop()
-        if mask is not None:
-            g = dropout_backward(g, mask, drop_hidden)
-        if rectified is not None:
-            g = relu_backward(g, rectified)
-        rectified = mask = None  # freed before the layer's own backward, not after it
+        (name, kind, arg, in_shape, p), h = tape.pop()
+        if kind == "conv" or kind == "fc" and y is not None:
+            g = dropout_backward(g, y > 0, drop_hidden) if kind == "fc" and hidden_dropout else relu_backward(g, y)
+        y = None  # freed before the layer's own backward, not after it
+        x = h.reshape(len(h), *in_shape)
         if kind == "pool":
             g = maxpool_backward(g, x, arg)
         elif kind == "conv":
@@ -343,7 +342,7 @@ def loss_and_grads(
         else:
             later.append((name, p, partial(affine_param_grads, g, x)))
             g = affine_input_grad(g, x, p)
-        g = g.reshape(shape)
+        g, y = g.reshape(h.shape), h
     grads = {key: grad for name, p, param_grads in later for (key, _), grad in zip(_named(name, p), param_grads())}
     if l2 != 0.0:
         params = model.parameters()

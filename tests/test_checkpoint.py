@@ -1,10 +1,15 @@
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import emocnn
 from emocnn import checkpoint
 from emocnn.checkpoint import (
     MAGIC,
@@ -311,6 +316,32 @@ def test_every_prefix_and_any_suffix_is_rejected(tmp_path):
         path.write_bytes(blob + extra)
         with pytest.raises(CheckpointShapeError):
             load_checkpoint(path)
+
+
+_LOAD_UNDER_2_GIB = """
+import resource, sys
+from emocnn.checkpoint import load_checkpoint
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard), hard))
+try:
+    load_checkpoint(sys.argv[1])
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_a_metadata_length_past_the_file_end_allocates_nothing(tmp_path):
+    # A u32 length of 4 GiB - 1 before 2 bytes of metadata: read before the
+    # length was checked, it needed a 4 GiB buffer, a MemoryError under this limit.
+    pytest.importorskip("resource")
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(struct.pack("<4sHI", MAGIC, 1, 0xFFFFFFFF) + b"{}")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(emocnn.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, "-c", _LOAD_UNDER_2_GIB, str(path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.stdout == "CheckpointTruncatedError\n", child.stderr
 
 
 def test_tiny_config_metadata_is_format_v1(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from emocnn import layers
@@ -14,6 +14,7 @@ from emocnn.layers import (
     affine_forward,
     conv2d_backward,
     conv2d_forward,
+    dropout_backward,
     dropout_forward,
     maxpool_backward,
     maxpool_forward,
@@ -521,6 +522,40 @@ def test_dropout_zeroes_match_mask():
     y, mask = dropout_forward(x, DropoutSpec(0.5), mode="train", rng=Prng(18))
     npt.assert_array_equal(y == 0.0, mask == 0.0)
     npt.assert_allclose(y[mask == 1.0], 2.0)
+
+
+# Signed zeros, infinities, NaN, float32 and float64 subnormals, values near
+# float32's overflow limit and ordinary values. A float64 subnormal is 0 in float32.
+SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40, 1e-310, -1e-310, 3e38, -3e38, 1.0, -0.75, 2.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    picks=st.lists(st.tuples(*[st.integers(0, len(SPECIAL_VALUES) - 1)] * 2), min_size=1, max_size=32),
+    keep=st.one_of(st.sampled_from([1.0, 0.5, 0.3]), st.floats(1e-7, 1.0)),
+    seed=st.integers(0, 2**32 - 2),
+)
+# Both units kept, both cut by ReLU, and g / keep overflows: float32 +-3e38 / 0.5.
+@example(dtype=np.float32, picks=[(9, 0), (10, 6)], keep=0.5, seed=7)
+def test_dropout_backward_on_y_above_0_is_dropout_then_relu_backward(dtype, picks, keep, seed):
+    # The replay's one step for a hidden fc: y is its ReLU output after
+    # dropout, and y > 0 exactly where dropout kept a unit and ReLU passed it.
+    values = np.array(SPECIAL_VALUES, dtype=dtype)
+    g, pre = (values[list(column)] for column in zip(*picks))
+    spec = DropoutSpec(keep)
+    with np.errstate(all="ignore"):
+        rect = np.maximum(pre, 0)
+        y, mask = dropout_forward(rect, spec, "train", Prng(seed))
+        fused = dropout_backward(g, y > 0, spec)
+        composed = relu_backward(dropout_backward(g, mask, spec), rect)
+        finite = np.isfinite(g / g.dtype.type(keep))
+    assert fused.dtype == composed.dtype == dtype
+    assert fused[finite].tobytes() == composed[finite].tobytes()
+    # Where g / keep overflows at a unit ReLU cut, dropout then ReLU gives
+    # inf * 0 = NaN; the fused form gives that unit's zero gradient.
+    cut = ~finite & ~(y > 0) & np.isfinite(g)
+    assert not fused[cut].any() and (np.signbit(fused[cut]) == np.signbit(g[cut])).all()
 
 
 def test_dropout_requires_rng_in_train():

@@ -477,6 +477,10 @@ def test_walk_without_tape_gives_the_same_logits(served_b):
     # One record per named layer, in plan order: no separate reshape, ReLU or dropout steps.
     plan = [name for name, _, _ in served_b.config.layer_plan()]
     assert len(tape) == len(plan) and [layer[0] for layer, *_ in tape] == plan
+    # A record is (layer, the array it received); test-mode input dropout
+    # is the identity, so the first layer received the batch itself.
+    assert all(len(record) == 2 and isinstance(record[1], np.ndarray) for record in tape)
+    assert tape[0][1] is x
     assert recorded.tobytes() == bare.tobytes()
     model = randomized_tiny_model(
         32, conv_groups=((3,), (4, 2)), aug_side=16, input_len=7, fc_sizes=(16, 5),
