@@ -54,6 +54,7 @@ from .checkpoint import (
     CheckpointError,
     CheckpointShapeError,
     CheckpointTruncatedError,
+    CheckpointValueError,
     CheckpointVersionError,
     load_checkpoint,
     save_checkpoint,

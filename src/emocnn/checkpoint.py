@@ -6,7 +6,8 @@ File layout, all integers little-endian:
     bytes 4..5   format version (u16)
     bytes 6..9   metadata length in bytes (u32)
     metadata     UTF-8 JSON: network config, label order, and a tensor
-                 directory of (name, rank, dims, offset) entries
+                 directory of (name, rank, dims, offset) entries, then
+                 trailing spaces up to the next multiple of 64 bytes
     data         raw float32 tensor values in directory order; offsets in
                  the directory are relative to the start of this section,
                  and the tensors tile it with no gap, overlap or trailing
@@ -15,29 +16,49 @@ File layout, all integers little-endian:
 The directory is a function of the network config: every parameter in
 ``Model.named_parameters()`` order, each tensor starting where the one
 before it ends. A file loads only if its directory equals, entry for entry,
-the one its config implies, and its data section is exactly as long.
+the one its config implies, its data section is exactly as long, and every
+value is finite.
 
-The JSON is serialized with sorted keys and fixed separators, so saving the
-same parameters always produces byte-identical files.
+The JSON is serialized with sorted keys and fixed separators, then padded
+with spaces, which JSON ignores, so that the data section starts at a
+multiple of 64 bytes. Saving the same parameters always produces
+byte-identical files. A file without the padding, as written before it was
+added, loads too.
+
+A loaded model's parameters are writable views of a private, copy-on-write
+map of the file (``mmap.ACCESS_COPY``): loading reads no tensor into fresh
+memory, and a write to a parameter never reaches the file. A tensor the
+map would leave misaligned for float32, as in an unpadded file, is copied
+once. Replacing the file with ``save_checkpoint``, which writes a new file
+and renames it over the old one, leaves a loaded model as it was.
+Truncating or rewriting a loaded file in place is not supported: the
+process can end with SIGBUS, the same trade as ``numpy.load`` with
+``mmap_mode``. Each loaded model holds the map, and before Python 3.13 one
+duplicate file descriptor, until its last parameter is freed.
 """
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
+import sys
 
 import numpy as np
 
 from .atomic import atomic_write
 from .labels import LABEL_NAMES
-from .network import Model, NetworkConfig, allocate_model, config_from_dict, config_to_dict, _parameter_shapes
+from .network import Model, NetworkConfig, config_from_dict, config_to_dict, _make_model, _parameter_shapes
 from .tensor import NumericalFault, _all_finite
 
 MAGIC = b"EMON"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sHI")
+_DATA_ALIGNMENT = 64  # bytes; the data section starts at a multiple of this
+# From Python 3.13 the map need not keep a duplicate of the file's descriptor.
+_MAP_FD = {"trackfd": False} if sys.version_info >= (3, 13) and os.name == "posix" else {}
 
 
 class CheckpointError(Exception):
@@ -58,6 +79,10 @@ class CheckpointShapeError(CheckpointError):
 
 class CheckpointConfigError(CheckpointError):
     pass
+
+
+class CheckpointValueError(CheckpointError):
+    """A tensor holds a NaN or an infinity, which save_checkpoint never writes."""
 
 
 def _network_config(path, fields) -> NetworkConfig:
@@ -103,6 +128,7 @@ def save_checkpoint(model: Model, path) -> None:
         "tensors": _directory(model.config),
     }
     meta_bytes = _dumps(meta).encode("utf-8")
+    meta_bytes += b" " * (-(_HEADER.size + len(meta_bytes)) % _DATA_ALIGNMENT)
     with atomic_write(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
@@ -156,19 +182,35 @@ def _check_layout(path, directory, expected, data_len) -> None:
         raise CheckpointShapeError(f"{path}: {data_len - end} bytes after the last tensor")
 
 
+def _mapped_tensor(path, mapped, data_start: int, entry: dict) -> np.ndarray:
+    """The directory entry's tensor as a view of ``mapped``, or as a copy
+    where the view would be misaligned. Raises CheckpointValueError unless
+    every value is finite."""
+    dims = entry["dims"]
+    view = np.frombuffer(mapped, "<f4", math.prod(dims), data_start + entry["offset"]).reshape(dims)
+    # An unpadded file can put the data section at any byte; numpy takes
+    # a slow path, off BLAS, for misaligned float32.
+    tensor = view if view.flags.aligned else view.copy()
+    if not _all_finite(tensor):
+        raise CheckpointValueError(f"{path}: tensor {entry['name']} holds a non-finite value")
+    return tensor
+
+
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, validating version, config, and
-    the whole tensor directory before any parameter is allocated.
-    Parameters load as float32, read from the file straight into the model;
-    the data section is never held a second time."""
+    the whole tensor directory before the file is mapped. Each parameter
+    is a float32 view of a copy-on-write map of the file (see the module
+    docstring), checked to be finite."""
     with open(path, "rb") as fh:
         config, directory = _read_metadata(path, fh)
-        _check_layout(path, directory, _directory(config), os.fstat(fh.fileno()).st_size - fh.tell())
-        # Little-endian float32 is the file's byte order, and the tensors
-        # tile the data section in parameter order, so each one's bytes can
-        # be read into its parameter as they come.
-        model = allocate_model(config, dtype="<f4")
-        for name, param in model.named_parameters():
-            if fh.readinto(param) != param.nbytes:
-                raise CheckpointTruncatedError(f"{path}: tensor {name!r} data out of bounds")
-    return model
+        data_start = fh.tell()
+        _check_layout(path, directory, _directory(config), os.fstat(fh.fileno()).st_size - data_start)
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY, **_MAP_FD)
+    # Little-endian float32 is the file's byte order, and the directory
+    # runs in the order _make_model asks for its tensors.
+    tensors = (_mapped_tensor(path, mapped, data_start, entry) for entry in directory)
+
+    def take(shape):
+        return next(tensors)
+
+    return _make_model(config, take, take)

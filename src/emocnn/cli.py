@@ -3,12 +3,17 @@
 Subcommands: preprocess, train, eval, predict, sweep-config, sweep-params.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical fault (a
 non-finite loss, gradient, parameter or logit), 4 internal error (any other
-exception; a bug, reported in one line).
+exception; a bug, reported in one line), 130 interrupted by SIGINT (Ctrl-C)
+and 143 terminated by SIGTERM: 128 plus the signal number, as a shell
+reports a process that a signal killed. Each is reported in one line.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -33,6 +38,31 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 128 + signal.SIGINT
+EXIT_TERMINATED = 128 + signal.SIGTERM
+
+
+class _Terminated(KeyboardInterrupt):
+    """Raised by the SIGTERM handler that ``main`` installs."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
+@contextlib.contextmanager
+def _sigterm_raises():
+    """While the block runs, SIGTERM raises _Terminated, as SIGINT raises
+    KeyboardInterrupt; the handler before it is restored after. Python
+    handles signals only in the main thread, so elsewhere this does nothing."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,8 +263,12 @@ def main(argv=None) -> int:
         # numpy's floating-point warnings are silenced: the commands check
         # for non-finite values themselves, so a filter that turns warnings
         # into errors cannot change the exit code.
-        with np.errstate(all="ignore"):
+        with _sigterm_raises(), np.errstate(all="ignore"):
             return args.func(args)
+    except KeyboardInterrupt as exc:
+        terminated = isinstance(exc, _Terminated)
+        print("terminated (SIGTERM)" if terminated else "interrupted (SIGINT)", file=sys.stderr)
+        return EXIT_TERMINATED if terminated else EXIT_INTERRUPTED
     except NumericalFault as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -68,8 +68,11 @@ class DropoutSpec:
     keep_probability: float
 
     def __post_init__(self):
-        if not 0.0 < self.keep_probability <= 1.0:
-            raise ValueError(f"keep_probability must be in (0, 1], got {self.keep_probability}")
+        # A keep that float32 rounds to 0 would make float32 dropout 0 / 0.
+        if not (0.0 < self.keep_probability <= 1.0 and np.float32(self.keep_probability) > 0):
+            raise ValueError(
+                f"keep_probability must be in (0, 1] and positive as float32, got {self.keep_probability}"
+            )
 
 
 def affine_forward(x: np.ndarray, p: AffineParams) -> np.ndarray:

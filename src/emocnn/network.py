@@ -110,7 +110,7 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if fcs[-1] != N_CLASSES:
             raise ValueError(f"the last fc layer has {fcs[-1]} units, expected {N_CLASSES}")
-        DropoutSpec(self.dropout_keep_input)  # raises unless keep is in (0, 1]
+        DropoutSpec(self.dropout_keep_input)  # raises unless keep is in (0, 1], and > 0 as float32
         DropoutSpec(self.dropout_keep_hidden)
         for name in ("l2_strength", "init_std"):
             if getattr(self, name) < 0:
@@ -235,20 +235,23 @@ def _parameter_shapes(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]
     return [(f"{name}.{f.name}", shape) for name, cls, shapes in weighted for f, shape in zip(fields(cls), shapes)]
 
 
-def _make_model(config: NetworkConfig, make_weight, dtype) -> Model:
-    """Model of weights ``make_weight(shape)`` and zero biases, each made once, in plan order."""
-    aug, *params = [cls(make_weight(w), np.zeros(b, dtype=dtype)) for _, cls, (w, b) in _weighted_layers(config)]
+def _make_model(config: NetworkConfig, make_weight, make_bias) -> Model:
+    """Model of weights ``make_weight(shape)`` and biases ``make_bias(shape)``,
+    each made once, in ``Model.named_parameters()`` order."""
+    aug, *params = [cls(make_weight(w), make_bias(b)) for _, cls, (w, b) in _weighted_layers(config)]
     return Model(config, aug, params[: len(config.channel_plan)], params[len(config.channel_plan) :])
 
 
 def allocate_model(config: NetworkConfig, dtype=DEFAULT_DTYPE) -> Model:
-    """Model with zero-filled parameters (checkpoint loading, tests)."""
-    return _make_model(config, partial(np.zeros, dtype=dtype), dtype)
+    """Model with zero-filled parameters (tests, float64 copies)."""
+    zeros = partial(np.zeros, dtype=dtype)
+    return _make_model(config, zeros, zeros)
 
 
 def build_model(config: NetworkConfig, rng: Prng, dtype=DEFAULT_DTYPE) -> Model:
     """Gaussian-initialized model (weights N(mean, std), biases zero)."""
-    return _make_model(config, lambda s: gaussian_init(s, config.init_mean, config.init_std, rng, dtype), dtype)
+    draw = partial(gaussian_init, mean=config.init_mean, std=config.init_std, rng=rng, dtype=dtype)
+    return _make_model(config, draw, partial(np.zeros, dtype=dtype))
 
 
 def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, record: bool = True):

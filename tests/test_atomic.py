@@ -1,3 +1,5 @@
+import builtins
+import itertools
 import os
 
 import numpy as np
@@ -92,4 +94,25 @@ def test_every_file_writer_is_atomic(tmp_path, monkeypatch, writer):
     monkeypatch.setattr(atomic.os, "replace", interrupted)
     with pytest.raises(OSError):
         WRITERS[writer](target)
+    _assert_untouched(target)
+
+
+def test_an_interrupt_inside_a_write_leaves_no_temporary_file(target, monkeypatch):
+    # Ctrl-C raises KeyboardInterrupt, which is no Exception: here inside
+    # save_checkpoint's third write, the first tensor's, after two landed.
+    def interrupting_open(file, mode, **kwargs):
+        fh = builtins.open(file, mode, **kwargs)
+        writes, write = itertools.count(1), fh.write
+
+        def interrupted_write(data):
+            if next(writes) == 3:
+                raise KeyboardInterrupt
+            return write(data)
+
+        fh.write = interrupted_write
+        return fh
+
+    monkeypatch.setattr(atomic, "open", interrupting_open, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        _write_checkpoint(target)
     _assert_untouched(target)

@@ -1,4 +1,5 @@
 import math
+import mmap
 import os
 import struct
 import subprocess
@@ -17,11 +18,13 @@ from emocnn.checkpoint import (
     CheckpointError,
     CheckpointShapeError,
     CheckpointTruncatedError,
+    CheckpointValueError,
     CheckpointVersionError,
     load_checkpoint,
     save_checkpoint,
 )
-from emocnn.network import build_model
+from emocnn.cli import EXIT_DATA, main
+from emocnn.network import NetworkConfig, build_model, forward
 from emocnn.tensor import NumericalFault, Prng
 
 from support import (
@@ -237,7 +240,7 @@ def _malform_first_entry(malform):
 
 
 # (metadata edit, data edit) pairs of faults the loader finds in the
-# directory, before it allocates anything.
+# directory, before it maps the file or builds a model.
 DIRECTORY_FAULTS = {
     **CHECKPOINT_LAYOUT_FAULTS,
     "duplicate-tensor": (CHECKPOINT_META_FAULTS["duplicate-tensor"],),
@@ -254,7 +257,8 @@ def test_layout_is_checked_before_allocation(tmp_path, monkeypatch, case):
     else:
         rewrite_checkpoint_meta(path, *DIRECTORY_FAULTS[case])
     allocations = []
-    monkeypatch.setattr(checkpoint, "allocate_model", lambda *a, **k: allocations.append(a))
+    monkeypatch.setattr(checkpoint.mmap, "mmap", lambda *a, **k: allocations.append(a))
+    monkeypatch.setattr(checkpoint, "_make_model", lambda *a, **k: allocations.append(a))
     with pytest.raises((CheckpointShapeError, CheckpointTruncatedError)):
         load_checkpoint(path)
     assert allocations == []
@@ -266,14 +270,15 @@ def test_config_shapes_are_checked_before_allocation(tmp_path, monkeypatch):
     save_checkpoint(_small_model(15), path)
     rewrite_checkpoint_meta(path, CHECKPOINT_META_FAULTS["oversized-fc-size"])
     allocations = []
-    monkeypatch.setattr(checkpoint, "allocate_model", lambda *a, **k: allocations.append(a))
+    monkeypatch.setattr(checkpoint.mmap, "mmap", lambda *a, **k: allocations.append(a))
+    monkeypatch.setattr(checkpoint, "_make_model", lambda *a, **k: allocations.append(a))
     with pytest.raises(CheckpointShapeError, match="fc1.W"):
         load_checkpoint(path)
     assert allocations == []
 
 
 def test_load_peak_memory_is_about_the_file_size(tmp_path):
-    # The parameters alone: the data section is read straight into them,
+    # The parameters are views of a map of the file: the data section is
     # never held as a bytes object or a copy of one.
     config = tiny_config(input_len=144, aug_side=32, aug_channels=3, fc_sizes=(1024, 5))
     path = tmp_path / "m.ckpt"
@@ -345,12 +350,15 @@ def test_a_metadata_length_past_the_file_end_allocates_nothing(tmp_path):
 
 
 def test_tiny_config_metadata_is_format_v1(tmp_path):
+    # The JSON is padded with spaces so that the data starts at a multiple of 64.
     path = tmp_path / "m.ckpt"
     save_checkpoint(_small_model(18), path)
     blob = path.read_bytes()
     magic, version, meta_len = struct.unpack_from("<4sHI", blob)
     assert (magic, version) == (MAGIC, 1)
-    assert blob[10 : 10 + meta_len].decode("utf-8") == TINY_CONFIG_METADATA
+    padding = " " * (-(10 + len(TINY_CONFIG_METADATA)) % 64)
+    assert blob[10 : 10 + meta_len].decode("utf-8") == TINY_CONFIG_METADATA + padding
+    assert (10 + meta_len) % 64 == 0
     assert len(blob) == 10 + meta_len + 4 * 626
 
 
@@ -369,3 +377,112 @@ TINY_CONFIG_METADATA = (
     '{"dims":[5,4],"name":"fc2.W","offset":2404,"rank":2},'
     '{"dims":[5],"name":"fc2.b","offset":2484,"rank":1}]}'
 )
+
+
+def _data_start(path) -> int:
+    return 10 + struct.unpack_from("<I", path.read_bytes(), 6)[0]
+
+
+def _mapped_base(a):
+    """The object at the end of ``a``'s chain of bases: the buffer its memory comes from."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+@pytest.fixture(scope="module")
+def variant_b(tmp_path_factory):
+    """(model, path): variant B from Prng(0), saved once for the module."""
+    model = build_model(NetworkConfig.for_variant("B"), Prng(0))
+    path = tmp_path_factory.mktemp("variant-b") / "b.ckpt"
+    save_checkpoint(model, path)
+    return model, path
+
+
+def test_variant_b_data_starts_at_a_multiple_of_64(variant_b):
+    _, path = variant_b
+    assert _data_start(path) % 64 == 0
+
+
+def test_variant_b_parameters_load_as_aligned_views_of_the_map(variant_b):
+    _, path = variant_b
+    loaded = load_checkpoint(path)
+    bases = set()
+    for name, p in loaded.named_parameters():
+        assert p.flags.aligned and p.flags.c_contiguous and p.flags.writeable, name
+        assert isinstance(_mapped_base(p), mmap.mmap), name
+        bases.add(id(_mapped_base(p)))
+    assert len(bases) == 1
+
+
+def test_loaded_logits_equal_the_saved_models_bit_for_bit(variant_b):
+    model, path = variant_b
+    x = np.random.default_rng(0).random((4, model.config.input_len)).astype(np.float32)
+    assert forward(load_checkpoint(path), x).tobytes() == forward(model, x).tobytes()
+
+
+def test_a_nan_in_a_checkpoint_is_a_data_error(variant_b, tmp_path, capsys):
+    # The last float32 of the file is fc3.b[4].
+    _, saved = variant_b
+    path = tmp_path / "nan.ckpt"
+    path.write_bytes(saved.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+    with pytest.raises(CheckpointValueError, match="fc3.b"):
+        load_checkpoint(path)
+    assert main(["predict", "--ckpt", str(path), "--text", "hello"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "fc3.b" in err
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_value_in_any_tensor_does_not_load(tmp_path, value):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(19), path)
+    blob = bytearray(path.read_bytes())
+    offset = _data_start(path) + 1728 + 4  # conv1.filters, its second value
+    blob[offset : offset + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointValueError, match="conv1.filters"):
+        load_checkpoint(path)
+
+
+def test_a_write_to_a_loaded_parameter_does_not_reach_the_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(20), path)
+    blob = path.read_bytes()
+    loaded = load_checkpoint(path)
+    for _, p in loaded.named_parameters():
+        p[...] = 7.0
+    assert path.read_bytes() == blob
+    for (_, pa), (_, pb) in zip(_small_model(20).named_parameters(), load_checkpoint(path).named_parameters()):
+        npt.assert_array_equal(pa, pb)
+
+
+def test_saving_over_a_loaded_file_leaves_the_loaded_values(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_small_model(21), path)
+    loaded = load_checkpoint(path)
+    save_checkpoint(_small_model(22), path)
+    for (_, pa), (_, pb) in zip(_small_model(21).named_parameters(), loaded.named_parameters()):
+        npt.assert_array_equal(pa, pb)
+    for (_, pa), (_, pb) in zip(_small_model(22).named_parameters(), load_checkpoint(path).named_parameters()):
+        npt.assert_array_equal(pa, pb)
+
+
+def test_an_unpadded_misaligned_layout_loads_its_values(tmp_path):
+    # Rewritten without padding, as files were saved before it, this
+    # config's data starts off a 4-byte boundary, so each tensor is copied.
+    model = build_model(tiny_config(l2_strength=0.0015), Prng(23), dtype=np.float32)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    rewrite_checkpoint_meta(path, lambda meta: None)
+    assert _data_start(path) % 4 != 0
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    for (_, pa), (name, pb) in zip(model.named_parameters(), loaded.named_parameters()):
+        npt.assert_array_equal(pa, pb)
+        assert pb.flags.aligned and pb.flags.writeable, name
+    resaved = tmp_path / "resaved.ckpt"
+    save_checkpoint(loaded, resaved)
+    fresh = tmp_path / "fresh.ckpt"
+    save_checkpoint(model, fresh)
+    assert resaved.read_bytes() == fresh.read_bytes()

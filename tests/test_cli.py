@@ -1,6 +1,9 @@
+import errno
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -10,7 +13,16 @@ import pytest
 import emocnn
 from emocnn import cli, training
 from emocnn.checkpoint import load_checkpoint, save_checkpoint
-from emocnn.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from emocnn.cli import (
+    EXIT_DATA,
+    EXIT_INTERNAL,
+    EXIT_INTERRUPTED,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_TERMINATED,
+    EXIT_USAGE,
+    main,
+)
 from emocnn.network import build_model, predict
 from emocnn.tensor import Prng
 from emocnn.text import encode_dialogue, load_dataset
@@ -432,3 +444,62 @@ def test_importing_the_cli_leaves_out_concurrent_futures():
     code = "import sys, emocnn.cli; print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'logging'))))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     assert result.stdout == "[]\n"
+
+
+def _open_when_read(fifo, child, timeout=120):
+    """A write end of the named pipe ``fifo``, opened once ``child`` has
+    opened its read end, or None if the child ends first."""
+    deadline = time.monotonic() + timeout
+    while child.poll() is None and time.monotonic() < deadline:
+        try:
+            fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError as exc:
+            if exc.errno != errno.ENXIO:  # ENXIO: no reader yet
+                raise
+            time.sleep(0.01)
+            continue
+        os.set_blocking(fd, True)
+        return fd
+    return None
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+@pytest.mark.parametrize(
+    "sig, code, line",
+    [(signal.SIGINT, EXIT_INTERRUPTED, "interrupted (SIGINT)"), (signal.SIGTERM, EXIT_TERMINATED, "terminated (SIGTERM)")],
+    ids=["SIGINT", "SIGTERM"],
+)
+def test_a_signal_ends_train_in_one_line_and_its_exit_code(tmp_path, sig, code, line):
+    # The data file is a named pipe, so the command opens it inside main,
+    # where both handlers are in place, before the test sends the signal.
+    data = tmp_path / "data.tsv"
+    os.mkfifo(data)
+    rows = write_marker_tsv(tmp_path / "rows.tsv", n=20, seed=0).read_bytes()
+    out = tmp_path / "m.ckpt"
+    src = str(Path(emocnn.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "emocnn.cli", *_train_args(str(data), out, epochs=1000)]
+    # A shell starts a background job with SIGINT ignored, and Python then
+    # leaves it ignored; the child takes the default, as from a terminal.
+    child = subprocess.Popen(
+        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        fd = _open_when_read(data, child)
+        assert fd is not None, child.communicate()[1]
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(rows)
+        # 1000 epochs take minutes; a second puts the signal in training
+        # on most machines, and the outcome is the same wherever it lands.
+        time.sleep(1.0)
+        child.send_signal(sig)
+        stdout, stderr = child.communicate(timeout=120)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert (child.returncode, stdout, stderr) == (code, "", line + "\n")
+    assert not out.exists()
+    assert set(os.listdir(tmp_path)) == {"data.tsv", "rows.tsv"}

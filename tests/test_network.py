@@ -193,6 +193,15 @@ def test_config_of_a_bad_type_or_non_finite_cannot_be_built(make):
         make()
 
 
+@pytest.mark.parametrize("field", ["dropout_keep_input", "dropout_keep_hidden"])
+def test_a_keep_that_float32_rounds_to_zero_is_a_config_error(field):
+    # Below float32's smallest subnormal, a keep made float32 dropout 0 / 0.
+    assert np.float32(1e-46) == 0
+    with pytest.raises(ValueError, match="positive as float32"):
+        NetworkConfig.for_variant("B", **{field: 1e-46})
+    NetworkConfig.for_variant("B", **{field: float(np.finfo(np.float32).smallest_subnormal)})
+
+
 def test_variant_b_parameter_count():
     model = build_model(NetworkConfig.for_variant("B"), Prng(0))
     # independent shape-by-shape summation
