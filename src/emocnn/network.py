@@ -137,9 +137,8 @@ class NetworkConfig:
     def layer_plan(self) -> list[tuple[str, str, object]]:
         """Every layer after the input dropout, in forward order, as (name,
         kind, arg): the augmentation affine (arg: its output grid, side,
-        side, channels), each conv with its ReLU (channels), a pool after
-        each conv group (PoolSpec) and the fc head (units), where every fc
-        but the last is followed by ReLU and dropout."""
+        side, channels), each conv (channels), a pool after each conv group
+        (PoolSpec) and the fc head (units); ``_walk`` adds the activations."""
         plan = [("augmentation", "augmentation", (self.aug_side, self.aug_side, self.aug_channels))]
         convs = itertools.count(1)
         for gi, group in enumerate(self.conv_groups, start=1):
@@ -147,14 +146,18 @@ class NetworkConfig:
             plan.append((f"pool{gi}", "pool", POOL_REDUCE if gi == len(self.conv_groups) else POOL_SAME))
         return plan + [(f"fc{i}", "fc", units) for i, units in enumerate(self.fc_sizes, start=1)]
 
-    def _walk(self) -> Iterator[tuple[str, str, object, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-        """(name, kind, arg, in_shape, out_shape, weight_shape) for every
-        layer of the plan, each activation shape per sample. An affine
+    def _walk(self) -> Iterator[tuple[str, str, object, tuple[int, ...], tuple[int, ...], tuple[int, ...], object]]:
+        """(name, kind, arg, in_shape, out_shape, weight_shape, keep) for
+        every layer of the plan, each activation shape per sample. An affine
         layer's input is flat. A conv's weight is its filters, an affine's
-        is (outputs, inputs), and a pool has none: (). Raises if any layer
-        underflows."""
+        is (outputs, inputs), and a pool has none: (). ``keep`` is the
+        activation rule: ReLU after a conv (1.0), ReLU then dropout at
+        ``dropout_keep_hidden`` after each fc but the last, none after the
+        rest (None). Dropout, the identity elsewhere, runs only in train
+        mode at keep < 1. Raises if any layer underflows."""
+        plan = self.layer_plan()
         shape = (self.input_len,)
-        for name, kind, arg in self.layer_plan():
+        for i, (name, kind, arg) in enumerate(plan, start=1):
             if kind == "conv":
                 if shape[0] < FILTER_SIZE:
                     raise ValueError(
@@ -167,16 +170,17 @@ class NetworkConfig:
             else:
                 shape, out = (math.prod(shape),), arg if kind == "augmentation" else (arg,)
                 weight = (math.prod(out), shape[0])
-            yield name, kind, arg, shape, out, weight
+            keep = 1.0 if kind == "conv" else self.dropout_keep_hidden if kind == "fc" and i < len(plan) else None
+            yield name, kind, arg, shape, out, weight, keep
             shape = out
 
     def spatial_trace(self) -> list[int]:
         """Spatial side after the augmentation reshape and after every
         conv and pool, in order. Raises if any layer underflows."""
-        return [out[0] for _, kind, _, _, out, _ in self._walk() if kind != "fc"]
+        return [out[0] for _, kind, _, _, out, *_ in self._walk() if kind != "fc"]
 
     def flatten_width(self) -> int:
-        return next(shape[0] for _, kind, _, shape, _, _ in self._walk() if kind == "fc")
+        return next(shape[0] for _, kind, _, shape, *_ in self._walk() if kind == "fc")
 
 
 @dataclass
@@ -188,11 +192,11 @@ class Model:
     convs: list[ConvParams]
     fcs: list[AffineParams]
 
-    def _layers(self) -> list[tuple[str, str, object, tuple[int, ...], object]]:
-        """(name, kind, arg, in_shape, params) for every layer of the
+    def _layers(self) -> list[tuple[str, str, object, tuple[int, ...], object, object]]:
+        """(name, kind, arg, in_shape, keep, params) for every layer of the
         config's walk; params is None where the walk gives no weight shape."""
         params, walk = iter([self.augmentation, *self.convs, *self.fcs]), self.config._walk()
-        return [(name, kind, arg, shape, next(params) if w else None) for name, kind, arg, shape, _, w in walk]
+        return [(*layer, keep, next(params) if w else None) for *layer, _, w, keep in walk]
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) per parameter, in plan order, weights before bias."""
@@ -223,7 +227,7 @@ def _weighted_layers(config: NetworkConfig):
     """(name, parameter class, (weight shape, bias shape)) per weighted
     layer, in plan order, with the weight shape from ``_walk``. A bias has
     one value per output row or channel."""
-    for name, kind, _, _, _, weight in config._walk():
+    for name, kind, _, _, _, weight, _ in config._walk():
         if weight:
             yield name, ConvParams if kind == "conv" else AffineParams, (weight, weight[:1])
 
@@ -268,12 +272,10 @@ def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, r
     if batch.ndim != 2 or batch.shape[1] != cfg.input_len:
         raise ValueError(f"batch must be [B, {cfg.input_len}], got {batch.shape}")
     tape = []
-    drop_hidden = DropoutSpec(cfg.dropout_keep_hidden)
     # No gradient flows to the input, so input dropout records nothing.
     h, _ = dropout_forward(batch, DropoutSpec(cfg.dropout_keep_input), mode, rng)
-    layers = model._layers()
-    for layer in layers:
-        _, kind, arg, in_shape, p = layer
+    for layer in model._layers():
+        _, kind, arg, in_shape, keep, p = layer
         if record:
             tape.append((layer, h))
         # The shape changes only at the augmentation's grid and fc1's flat input.
@@ -282,11 +284,11 @@ def _run_forward(model: Model, batch: np.ndarray, mode: str, rng: Prng | None, r
             h = maxpool_forward(x, arg)
         else:
             h = (conv2d_forward if kind == "conv" else affine_forward)(x, p)
-        if kind == "conv" or kind == "fc" and layer is not layers[-1]:
+        if keep is not None:
             # In place: h is a fresh layer output, and ReLU keeps h > 0 as it was.
             np.maximum(h, 0, out=h)
-            if kind == "fc":
-                h, _ = dropout_forward(h, drop_hidden, mode, rng)
+            if mode == "train" and keep < 1.0:
+                h, _ = dropout_forward(h, DropoutSpec(keep), mode, rng)
     return h, tape
 
 
@@ -310,7 +312,7 @@ def loss_and_grads(
     2 * l2 * W.
 
     The tape is replayed by popping its records: each layer, in reverse
-    plan order, runs its dropout and ReLU backward on its output ``y``,
+    plan order, runs the backward of its walk ``keep`` on its output ``y``,
     the array the previously popped record received, and frees it, then
     runs its own backward and frees its input; the tape is empty on
     return. Dropout kept a unit and ReLU passed it exactly where y > 0, as
@@ -324,17 +326,14 @@ def loss_and_grads(
     replay order, the reverse of the plan, weight before bias.
     """
     l2 = model.config.l2_strength
-    drop_hidden = DropoutSpec(model.config.dropout_keep_hidden)
-    # Forward dropout is the identity in test mode and at keep 1.
-    hidden_dropout = mode == "train" and drop_hidden.keep_probability < 1.0
     logits, tape = _run_forward(model, batch, mode, rng)
     loss, g = softmax_cross_entropy(logits, np.asarray(labels))[::2]  # probs is not kept
     later = []  # (layer name, params, callable giving their gradients), in replay order
-    y = None  # None only for the last layer, which is replayed first
+    y = None  # the last layer, replayed first, has no activation to read it
     while tape:
-        (name, kind, arg, in_shape, p), h = tape.pop()
-        if kind == "conv" or kind == "fc" and y is not None:
-            g = dropout_backward(g, y > 0, drop_hidden) if kind == "fc" and hidden_dropout else relu_backward(g, y)
+        (name, kind, arg, in_shape, keep, p), h = tape.pop()
+        if keep is not None:
+            g = dropout_backward(g, y > 0, DropoutSpec(keep)) if mode == "train" and keep < 1.0 else relu_backward(g, y)
         y = None  # freed before the layer's own backward, not after it
         x = h.reshape(len(h), *in_shape)
         if kind == "pool":

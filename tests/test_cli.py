@@ -1,14 +1,19 @@
+import contextlib
 import errno
+import io
+import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import emocnn
 from emocnn import cli, training
@@ -503,3 +508,78 @@ def test_a_signal_ends_train_in_one_line_and_its_exit_code(tmp_path, sig, code, 
     assert (child.returncode, stdout, stderr) == (code, "", line + "\n")
     assert not out.exists()
     assert set(os.listdir(tmp_path)) == {"data.tsv", "rows.tsv"}
+
+
+# The data and stop-word files that the boundary tests draw: valid records
+# with blank, CRLF and long lines and a BOM, or those mixed with random
+# bytes, invalid UTF-8 and stray tabs.
+_RECORDS = [
+    b"\xef\xbb\xbf", "positive\t丁丁\n".encode(), "neutral\t好\r\n".encode(), b"meaningless\t\n",
+    ("wondering\t" + "丆" * 3000 + "\n").encode(), b"\n", b"\r\n", "丆\n".encode(),
+]
+_PIECES = st.one_of(
+    st.binary(max_size=16),
+    st.sampled_from([*_RECORDS, b"\t", b"\t\t", b"#", b"\xff\xfe", b"\x80", b"\xed\xa0\x80", b"x" * 5000]),
+)
+_FILES = st.one_of(st.lists(st.sampled_from(_RECORDS), max_size=8), st.lists(_PIECES, max_size=12)).map(b"".join)
+
+
+@pytest.fixture(scope="module")
+def boundary_dir(tmp_path_factory):
+    """A directory with a tiny 144-byte checkpoint and a valid data file."""
+    path = tmp_path_factory.mktemp("boundary")
+    save_checkpoint(randomized_tiny_model(3, dtype=np.float32, input_len=144), path / "tiny.ckpt")
+    write_marker_tsv(path / "data.tsv", n=10, seed=0)
+    return path
+
+
+def _assert_a_clean_exit(argv):
+    """Runs ``main(argv)`` in process: it returns 0, 2 or 3 and prints no
+    traceback, and an exit-0 ``predict`` prints one line of a label and
+    five finite probabilities. The flags are valid, so a fault in a file is
+    a data error (2), not a usage error (1)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK and argv[0] == "predict":
+        line, rest = out.getvalue().split("\n", 1)
+        _, *probs = line.split(" ")
+        assert rest == "" and len(probs) == 5 and all(math.isfinite(float(p)) for p in probs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_FILES, stops=_FILES, command=st.sampled_from(["preprocess", "eval", "predict"]), text=st.text(max_size=20))
+def test_any_data_or_stop_word_file_ends_in_an_exit_code(boundary_dir, data, stops, command, text):
+    work = Path(tempfile.mkdtemp(dir=boundary_dir))
+    (work / "data.tsv").write_bytes(data)
+    (work / "stops.txt").write_bytes(stops)
+    ckpt, data_flag = str(boundary_dir / "tiny.ckpt"), ["--data", str(work / "data.tsv")]
+    tail = {
+        "preprocess": [*data_flag, "--out", str(work / "out.hex")],
+        "eval": [*data_flag, "--ckpt", ckpt, "--report", str(work / "report.csv")],
+        "predict": ["--ckpt", ckpt, "--text", text],
+    }[command]
+    _assert_a_clean_exit([command, *tail, "--stopwords", str(work / "stops.txt")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(draw=st.data())
+def test_any_truncated_or_flipped_checkpoint_ends_in_an_exit_code(boundary_dir, draw):
+    blob = bytearray((boundary_dir / "tiny.ckpt").read_bytes())
+    if draw.draw(st.booleans(), label="truncate"):
+        blob = blob[: draw.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        # Half the flips land in the header and its JSON, which the data outweighs.
+        header = 10 + int.from_bytes(blob[6:10], "little")
+        at = st.one_of(st.integers(0, header - 1), st.integers(0, len(blob) - 1))
+        for i, bits in draw.draw(st.lists(st.tuples(at, st.integers(1, 255)), min_size=1, max_size=4), label="flips"):
+            blob[i] ^= bits
+    # A fresh file each time: a loaded model maps its file, which must not change under it.
+    work = Path(tempfile.mkdtemp(dir=boundary_dir))
+    (work / "m.ckpt").write_bytes(blob)
+    ckpt, data = str(work / "m.ckpt"), str(boundary_dir / "data.tsv")
+    _assert_a_clean_exit(["predict", "--ckpt", ckpt, "--text", "丁丁"])
+    _assert_a_clean_exit(["eval", "--data", data, "--ckpt", ckpt, "--report", str(work / "r.csv")])

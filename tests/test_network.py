@@ -522,6 +522,26 @@ def test_a_conv_frees_its_relu_output_before_its_own_backward(monkeypatch):
     assert alive == [False, False, False]
 
 
+@pytest.mark.parametrize("keep, mode, want", [(0.3, "test", 1), (1.0, "train", 1), (0.3, "train", 3)])
+def test_an_identity_dropout_makes_no_mask(served_b, monkeypatch, keep, mode, want):
+    # Variant B has two hidden fc layers. Dropout is the identity in test
+    # mode and at keep 1, so only the input's call, which checks the mode, runs.
+    dropout_forward, calls = network.dropout_forward, []
+
+    def spy(x, spec, *args):
+        calls.append(spec.keep_probability)
+        return dropout_forward(x, spec, *args)
+
+    monkeypatch.setattr(network, "dropout_forward", spy)
+    model = dataclasses.replace(served_b, config=dataclasses.replace(served_b.config, dropout_keep_hidden=keep))
+    x = network.scale_codes(_codes(2, 45), np.float32)
+    if mode == "test":
+        forward(model, x)
+    else:
+        loss_and_grads(model, x, np.array([0, 3]), rng=Prng(46))
+    assert calls == [1.0, keep, keep][:want]
+
+
 def test_only_loss_and_grads_records_a_tape(monkeypatch):
     walk, records = network._run_forward, []
 
