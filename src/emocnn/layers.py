@@ -191,13 +191,15 @@ def _pool_geometry(h: int, w: int, spec: PoolSpec):
     return oh, ow, (pad_h // 2, pad_w // 2, pad_h - pad_h // 2, pad_w - pad_w // 2)
 
 
-def _pad_neg_inf(x: np.ndarray, top: int, left: int, bottom: int, right: int) -> np.ndarray:
+def _pad(x: np.ndarray, top: int, left: int, bottom: int, right: int, fill: float) -> np.ndarray:
+    """``x`` with ``fill`` cells around each sample's grid: -inf for the
+    forward, which changes no maximum, so a real NaN still wins; NaN for the
+    backward, which fmax skips and no maximum equals, so padding never wins."""
     if top == left == bottom == right == 0:
         return x
-    # -inf sentinels can never win a max against real (finite) values.
     return np.pad(
         x, ((0, 0), (top, bottom), (left, right), (0, 0)),
-        mode="constant", constant_values=-np.inf,
+        mode="constant", constant_values=fill,
     )
 
 
@@ -206,7 +208,7 @@ def maxpool_forward(x: np.ndarray, spec: PoolSpec) -> np.ndarray:
         raise ValueError(f"pool input must be [B,H,W,C], got {x.shape}")
     _, h, w, _ = x.shape
     oh, ow, (top, left, bottom, right) = _pool_geometry(h, w, spec)
-    return _window_max(_pad_neg_inf(x, top, left, bottom, right), spec, oh, ow, np.maximum)[1]
+    return _window_max(_pad(x, top, left, bottom, right, -np.inf), spec, oh, ow, np.maximum)[1]
 
 
 def _window_max(xp: np.ndarray, spec: PoolSpec, oh: int, ow: int, ufunc):
@@ -240,15 +242,16 @@ def maxpool_backward(dy: np.ndarray, x: np.ndarray, spec: PoolSpec) -> np.ndarra
     dx = np.empty(x.shape, dtype=x.dtype)
     per_sample = ((h + top + bottom) * (w + left + right) + 2 * oh * ow) * c * 8
     for block in _sample_blocks(batch, per_sample):
-        xp = _pad_neg_inf(x[block], top, left, bottom, right)
+        xp = _pad(x[block], top, left, bottom, right, np.nan)
         dxp = _route_to_first_winner(dy[block], xp, spec, oh, ow)
         dx[block] = dxp[:, top : top + h, left : left + w, :]
     return dx
 
 
 def _route_to_first_winner(dy: np.ndarray, xp: np.ndarray, spec: PoolSpec, oh: int, ow: int) -> np.ndarray:
-    """The pool gradient on the padded input ``xp``, summed in float64: each
-    window's upstream gradient goes to its first (row-major) maximum."""
+    """The pool gradient on the NaN-padded ``xp``, summed in float64: each
+    window's upstream gradient goes to its first (row-major) maximum, NaN
+    skipped. A window of NaN only routes to its first cell, maybe padding."""
     batch, hp, wp, c = xp.shape
     win, stride = spec.window, spec.stride
 
@@ -271,9 +274,8 @@ def _route_to_first_winner(dy: np.ndarray, xp: np.ndarray, spec: PoolSpec, oh: i
     rows = [slice(i, i + stride * oh, stride) for i in range(win)]
     _first_equal(((row_max[:, rows[i]], col[:, rows[i]] + i * win) for i in reversed(range(win))), best, idx)
 
-    # Scatter onto the padded grid, where every routed cell is in range: a
-    # window with no finite value can route to padding, which is cropped off.
-    # Overlapping windows can route to the same cell; bincount sums them.
+    # Scatter onto the padded grid, where every routed cell is in range (a
+    # NaN-only window's can be padding); bincount sums overlapping windows.
     i_win, j_win = np.divmod(np.arange(win * win), win)
     target = ((i_win * wp + j_win) * c)[idx]
     target += (
@@ -333,9 +335,11 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise ValueError(f"logits must be [B, classes], got {logits.shape}")
     labels = np.asarray(labels)
     batch, n_classes = logits.shape
+    if batch == 0:
+        raise ValueError("empty batch: the mean loss needs at least one row")
     if labels.shape != (batch,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {batch}")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels must be in 0..{n_classes - 1}")
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

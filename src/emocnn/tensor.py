@@ -18,17 +18,13 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 
-# Normals per block of Prng._fill_normal: bounds the float64 and uint64
-# temporaries of a Gaussian init to a few MB a thread whatever the tensor's
-# size.
-_NORMAL_BLOCK = 1 << 16
-
 # Most threads of one block fill. Each holds about 1.5 MB of block
 # temporaries, so the fill's scratch stays a few MB whatever the machine.
 _MAX_FILL_THREADS = 4
 
-# Elements per block of flat_blocks: the scratch of a blocked elementwise
-# update (Adam, the L2 gradient) stays cache-sized whatever the tensor's size.
+# Elements per block of every blocked elementwise pass (Adam and the L2
+# gradient through flat_blocks, the weight draw's Box-Muller pairs): its
+# temporaries stay cache-sized whatever the tensor's size.
 FLAT_BLOCK = 1 << 15
 
 
@@ -154,7 +150,7 @@ class Prng:
         ``std`` given, normal z is stored as z * std + mean, computed in
         float64 and rounded once to ``out``'s dtype.
 
-        Blocks of at most ``_NORMAL_BLOCK`` normals run through
+        Blocks of at most ``FLAT_BLOCK`` pairs run through
         ``_run_in_threads``. Each writes only its own slices of ``out``,
         with the same operations on each element, so the values do not
         depend on the number of threads."""
@@ -164,7 +160,7 @@ class Prng:
         self._drawn += 2 * half
 
         def fill(k):
-            pairs = min(_NORMAL_BLOCK // 2, half - k)
+            pairs = min(FLAT_BLOCK, half - k)
             u1 = _unit_float(self._draws(first + k, pairs))
             u2 = _unit_float(self._draws(first + half + k, pairs))
             # 1 - u1 is in (0, 1], so the log is finite.
@@ -174,7 +170,7 @@ class Prng:
                 z = (radius * trig(angle))[: n - start]
                 out[start : start + len(z)] = z if std is None else z * std + mean
 
-        _run_in_threads(fill, range(0, half, _NORMAL_BLOCK // 2))
+        _run_in_threads(fill, range(0, half, FLAT_BLOCK))
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal float64 samples via the Box-Muller transform."""

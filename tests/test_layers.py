@@ -371,8 +371,9 @@ def pool_cases(draw, max_batch=2):
     h = draw(st.sampled_from((3, 5, 7, 9)))
     w = draw(st.sampled_from((3, 5, 7, 9)).filter(lambda v: v != h))
     shape = (draw(st.integers(1, max_batch)), h, w, draw(st.integers(1, 3)))
-    # A few small integers, 0 among them, so windows tie often, as after ReLU.
-    x = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from((-1.0, 0.0, 1.0, 2.0))))
+    # A few small integers, 0 among them, so windows tie often, as after ReLU;
+    # -inf fills whole windows, where only a real cell may win, not padding.
+    x = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from((-np.inf, -1.0, 0.0, 1.0, 2.0))))
     out_shape = maxpool_forward(x, spec).shape
     dy = draw(hnp.arrays(np.float64, out_shape, elements=st.floats(-4.0, 4.0, width=64)))
     return spec, x, dy
@@ -462,6 +463,15 @@ def test_maxpool_backward_first_winner_hand_cases(case):
     expected = maxpool_backward_naive(dy, np.where(np.isnan(x), -np.inf, x), win, win, "none")
     assert dx.tobytes() == expected.tobytes()
     assert np.count_nonzero(dx) == 1
+
+
+@pytest.mark.parametrize("spec, windows", [(PoolSpec(5, 1, "same"), 25), (PoolSpec(3, 2, "same"), 9)])
+def test_maxpool_backward_padding_never_wins_an_all_neg_inf_window(spec, windows):
+    x = np.full((1, 5, 5, 1), -np.inf)
+    dy = np.ones(maxpool_forward(x, spec).shape)
+    dx = maxpool_backward(dy, x, spec)
+    assert dx.sum() == windows
+    npt.assert_array_equal(dx, maxpool_backward_naive(dy, x, spec.window, spec.stride, spec.padding))
 
 
 @st.composite
@@ -604,6 +614,12 @@ def test_softmax_shift_invariance():
     _, probs, _ = softmax_cross_entropy(logits, np.zeros(8, dtype=int))
     _, probs_shifted, _ = softmax_cross_entropy(logits + 123.0, np.zeros(8, dtype=int))
     npt.assert_allclose(probs, probs_shifted, atol=1e-9)
+
+
+def test_softmax_empty_batch_rejected():
+    # The mean over no rows would be NaN, with a RuntimeWarning.
+    with pytest.raises(ValueError, match="empty batch"):
+        softmax_cross_entropy(np.zeros((0, 5)), np.zeros(0, dtype=int))
 
 
 def test_softmax_label_out_of_range():

@@ -302,6 +302,12 @@ def test_loss_without_l2_is_bare_cross_entropy():
     assert abs(loss - bare) < 1e-12
 
 
+def test_loss_and_grads_rejects_an_empty_batch():
+    model = build_model(tiny_config(), Prng(0))
+    with pytest.raises(ValueError, match="empty batch"):
+        loss_and_grads(model, np.zeros((0, 5), np.float32), np.zeros(0, dtype=int), mode="train", rng=Prng(2))
+
+
 def test_zero_weights_have_zero_regularization():
     model = allocate_model(tiny_config(), dtype=np.float64)
     x = Prng(12).uniform(2 * 5).reshape(2, 5)

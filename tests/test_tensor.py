@@ -6,9 +6,12 @@ import numpy.testing as npt
 import pytest
 
 from emocnn import tensor
-from emocnn.tensor import _NORMAL_BLOCK, Prng, gaussian_init
+from emocnn.tensor import FLAT_BLOCK, Prng, gaussian_init
 
 from support import normal_one_shot
+
+# Normals per block of the weight draw: FLAT_BLOCK Box-Muller pairs.
+BLOCK_NORMALS = 2 * FLAT_BLOCK
 
 
 def test_gaussian_init_zero_std_is_constant():
@@ -68,7 +71,7 @@ def test_prng_mask_keep_fraction():
 
 
 @pytest.mark.parametrize(
-    "n", [0, 1, 2, 3, _NORMAL_BLOCK - 1, _NORMAL_BLOCK, _NORMAL_BLOCK + 1, 2 * _NORMAL_BLOCK + 1]
+    "n", [0, 1, 2, 3, BLOCK_NORMALS - 1, BLOCK_NORMALS, BLOCK_NORMALS + 1, 2 * BLOCK_NORMALS + 1]
 )
 def test_normal_blocks_equal_one_shot_box_muller(n):
     # Each stream has drawn already, so block draws are taken from an offset.
@@ -90,10 +93,10 @@ def test_normal_blocks_equal_one_shot_box_muller(n):
 
 @pytest.mark.parametrize("threads", [1, 2, 7])
 @pytest.mark.parametrize(
-    "n", [0, 1, 2, 3, _NORMAL_BLOCK - 1, _NORMAL_BLOCK + 1, 2 * _NORMAL_BLOCK + 1, 7 * _NORMAL_BLOCK + 3]
+    "n", [0, 1, 2, 3, BLOCK_NORMALS - 1, BLOCK_NORMALS + 1, 2 * BLOCK_NORMALS + 1, 7 * BLOCK_NORMALS + 3]
 )
 def test_normal_fill_is_the_same_on_any_thread_count(monkeypatch, threads, n):
-    # 7 * _NORMAL_BLOCK + 3 normals make 8 blocks, so each of 7 threads has one.
+    # 7 * BLOCK_NORMALS + 3 normals make 8 blocks, so each of 7 threads has one.
     monkeypatch.setattr(tensor, "_fill_threads", lambda: threads)
     rng, ref = Prng(33), Prng(33)
     rng.raw(5)
@@ -117,7 +120,7 @@ def test_an_exception_in_a_fill_thread_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(tensor, "_unit_float", fail_off_the_calling_thread)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="planted"):
-        gaussian_init((3 * _NORMAL_BLOCK,), 0.0, 1.0, Prng(0))
+        gaussian_init((3 * BLOCK_NORMALS,), 0.0, 1.0, Prng(0))
     assert threading.active_count() == before
 
 
@@ -127,5 +130,5 @@ def test_fill_threads_keep_the_callers_numpy_error_state(monkeypatch):
     monkeypatch.setattr(tensor, "_fill_threads", lambda: 3)
     with warnings.catch_warnings(), np.errstate(over="ignore"):
         warnings.simplefilter("error")
-        t = gaussian_init((3 * _NORMAL_BLOCK,), 0.0, 1e300, Prng(0))
+        t = gaussian_init((3 * BLOCK_NORMALS,), 0.0, 1e300, Prng(0))
     assert np.isinf(t).all()
